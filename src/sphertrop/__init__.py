@@ -21,11 +21,9 @@ from .lattice import (
     ZeroVectorError,
     cone_contains,
     cone_dual,
-    faces,
     primitive,
     quotient_projection,
     relint_meets,
-    relint_meets_region,
     smith_normal_form,
 )
 from .luna_vust import (
@@ -91,7 +89,6 @@ __all__ = [
     "cone_dual",
     "decolor",
     "determinant",
-    "faces",
     "format_puiseux",
     "invariant_factor_valuations",
     "is_toroidal",
@@ -102,7 +99,6 @@ __all__ = [
     "quotient_projection",
     "reference_fixture",
     "relint_meets",
-    "relint_meets_region",
     "sl2u_family",
     "smith_normal_form",
     "solve_colored_weights",

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .lattice import Cone
+from .lattice import Cone, signed_basis
 from .luna_vust import SphericalSpace
 
 
@@ -34,7 +34,7 @@ def builtin_space(name, n=None):
         return SphericalSpace(
             name="torus%d" % n,
             rank=n,
-            valuation_cone=_whole_space(n),
+            valuation_cone=Cone(signed_basis(n), n),
             palette=(),
             character_basis_labels=tuple("x%d" % (i + 1) for i in range(n)),
             family="torus",
@@ -44,7 +44,7 @@ def builtin_space(name, n=None):
         return SphericalSpace(
             name="sl2u",
             rank=1,
-            valuation_cone=_whole_space(1),
+            valuation_cone=Cone(signed_basis(1), 1),
             palette=(("E1", (1,)),),
             character_basis_labels=("chi1",),
             family="sl2_u",
@@ -75,15 +75,6 @@ def builtin_space(name, n=None):
             family_size=n,
         )
     raise ValueError("unknown space family %r" % (name,))
-
-
-def _whole_space(n):
-    gens = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(e)
-        gens.append(tuple(-a for a in e))
-    return Cone(gens, n)
 
 
 _SPACE_ID_RE = re.compile(r"^(torus|gln)(\d+)$")

@@ -117,7 +117,10 @@ def _parse_coordinates(text):
         matrix = [
             [parse_puiseux(cell) for cell in row.split(",")] for row in rows
         ]
-        return CurveBranch.from_matrix(matrix)
+        try:
+            return CurveBranch.from_matrix(matrix)
+        except ValueError as exc:
+            raise _CliInputError(str(exc)) from None
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
     elif stripped.startswith("[") and stripped.endswith("]"):
@@ -179,9 +182,12 @@ def cmd_fan(args):
             return EXIT_INPUT
         survivors = None
         if args.colors is not None:
-            survivors = frozenset(
-                fan.space.color_index(label) for label in args.colors.split(",") if label
-            )
+            try:
+                survivors = frozenset(
+                    fan.space.color_index(label) for label in args.colors.split(",") if label
+                )
+            except KeyError as exc:
+                raise _CliInputError(exc.args[0]) from None
         try:
             result = star(fan, fan.cones[args.cone_index], survivors)
         except (InvalidColoredConeError, ValueError) as exc:

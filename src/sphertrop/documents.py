@@ -15,7 +15,7 @@ from fractions import Fraction
 from .balance import WeightedRayFan
 from .lattice import Cone
 from .luna_vust import ColoredCone, ColoredFan, SphericalSpace
-from .puiseux import PuiseuxParseError, format_puiseux, parse_puiseux
+from .puiseux import format_puiseux, parse_puiseux
 from .tropicalize import CurveBranch
 
 FORMATS = (
@@ -117,20 +117,27 @@ def space_from_doc(doc):
     rank = _require(doc, "rank")
     if not isinstance(rank, int) or rank < 1:
         raise DocumentError("bad rank %r" % (rank,))
-    cone_doc = _require(doc, "valuation_cone")
-    gens = [int_vector_from_doc(g) for g in _require(cone_doc, "generators")]
+    valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank)
     palette = []
     for entry in doc.get("palette", ()):
         palette.append((str(_require(entry, "label")), int_vector_from_doc(_require(entry, "vector"))))
     return SphericalSpace(
         name=str(doc.get("name", "space")),
         rank=rank,
-        valuation_cone=Cone(gens, rank),
+        valuation_cone=valuation_cone,
         palette=tuple(palette),
         character_basis_labels=tuple(doc.get("characters", ())),
         family=doc.get("family"),
         family_size=doc.get("family_size"),
     )
+
+
+def _cone_from_doc(doc, rank):
+    gens = [int_vector_from_doc(g) for g in _require(doc, "generators")]
+    try:
+        return Cone(gens, rank)
+    except ValueError as exc:
+        raise DocumentError("bad cone: %s" % exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +163,14 @@ def fan_from_doc(doc):
     space = space_from_doc(_require(doc, "space"))
     cones = []
     for entry in _require(doc, "cones"):
-        gens = [int_vector_from_doc(g) for g in _require(entry, "generators")]
+        cone = _cone_from_doc(entry, space.rank)
         colors = set()
         for label in entry.get("colors", ()):
             try:
                 colors.add(space.color_index(label))
             except KeyError as exc:
                 raise DocumentError(str(exc)) from None
-        cones.append(ColoredCone(Cone(gens, space.rank), frozenset(colors)))
+        cones.append(ColoredCone(cone, frozenset(colors)))
     return ColoredFan(space, tuple(cones))
 
 
@@ -247,15 +254,15 @@ def curve_from_doc(doc):
     space = space_from_doc(_require(doc, "space"))
     branches = []
     for entry in _require(doc, "branches"):
+        if "matrix" not in entry and "coords" not in entry:
+            raise DocumentError("branch needs 'coords' or 'matrix'")
         try:
             if "matrix" in entry:
                 rows = [[parse_puiseux(cell) for cell in row] for row in entry["matrix"]]
                 branches.append(CurveBranch.from_matrix(rows))
-            elif "coords" in entry:
-                branches.append(CurveBranch(tuple(parse_puiseux(c) for c in entry["coords"])))
             else:
-                raise DocumentError("branch needs 'coords' or 'matrix'")
-        except PuiseuxParseError as exc:
+                branches.append(CurveBranch(tuple(parse_puiseux(c) for c in entry["coords"])))
+        except ValueError as exc:  # a parse error or a non-square matrix
             raise DocumentError("bad branch coordinates: %s" % exc) from None
     colored = _colored_weights_from_doc(doc.get("colored_weights", ()), space)
     expected = None

@@ -5,13 +5,20 @@ is ever made with floating point.  Vectors are plain tuples.  A linear
 inequality is a pair ``(a, b)`` meaning ``a . x >= b``; cone descriptions
 are homogeneous, so they are stored as bare normal vectors ``n`` meaning
 ``n . x >= 0``.
+
+Every cone decision runs on one integer Fourier-Motzkin engine
+(:func:`_eliminate`): rational rows are scaled to primitive integer rows
+once, at entry.  :func:`feasible_point` eliminates every variable and
+back-substitutes a witness; :func:`dual_description` only projects.
+Redundant normals and redundant generators are both dropped by the same
+implication test, :func:`_implied`.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ZeroVectorError(ValueError):
@@ -32,16 +39,25 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, v):
     return tuple(c * a for a in v)
 
 
 def is_zero_vector(v):
     return all(a == 0 for a in v)
+
+
+def _coprime(values):
+    """``(p, g)``: ints ``g * p`` equal ``values`` times their common denominator.
+
+    ``values`` are ints or Fractions; ``p`` has coprime entries (all zero,
+    with ``g == 0``, when the input is zero).  This is the one place rational
+    data becomes primitive integer data.
+    """
+    den = lcm(*(a.denominator for a in values))
+    ints = [a.numerator * (den // a.denominator) for a in values]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g else tuple(ints), g
 
 
 def primitive(v):
@@ -52,27 +68,45 @@ def primitive(v):
     """
     if any(not isinstance(a, int) for a in v):
         raise TypeError("primitive() expects integer entries, got %r" % (v,))
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
+    p, g = _coprime(v)
     if g == 0:
         raise ZeroVectorError("zero vector has no direction")
-    return tuple(a // g for a in v), g
+    return p, g
 
 
 def integral_direction(v):
     """Primitive integer vector spanning the same ray as the rational ``v``."""
-    fr = [Fraction(a) for a in v]
-    if all(a == 0 for a in fr):
+    p, g = _coprime(v)
+    if g == 0:
         raise ZeroVectorError("zero vector has no direction")
-    common = 1
-    for a in fr:
-        common = common * a.denominator // gcd(common, a.denominator)
-    ints = [int(a * common) for a in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in ints)
+    return p
+
+
+def _directions(vectors, dim):
+    """Primitive integer directions of the nonzero rational ``vectors`` in Q^dim."""
+    out = []
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError("vector %r does not live in dimension %d" % (v, dim))
+        p, g = _coprime(v)
+        if g:
+            out.append(p)
+    return out
+
+
+def _unit_vectors(dim):
+    return [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+
+
+def signed_basis(dim):
+    """The vectors ``e_1, -e_1, ..., e_dim, -e_dim`` of Z^dim.
+
+    They generate the whole space and cut out the zero cone.
+    """
+    out = []
+    for e in _unit_vectors(dim):
+        out += [e, tuple(-a for a in e)]
+    return out
 
 
 def leading_positive(v):
@@ -91,10 +125,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def mat_vec(rows, x):
     return tuple(dot(tuple(row), x) for row in rows)
 
@@ -104,52 +134,33 @@ def mat_mul(A, B):
     return [[dot(tuple(row), col) for col in Bt] for row in A]
 
 
-def matrix_rank(rows):
-    """Rank over the rationals, by Gaussian elimination on Fractions."""
+def _row_reduce(rows):
+    """Reduced row echelon form over Fractions, pivots left unscaled.
+
+    Returns ``(work, pivots)``: row ``i`` of ``work`` has its pivot in column
+    ``pivots[i]`` and every other row is zero there.
+    """
     work = [[Fraction(a) for a in row] for row in rows]
-    rank = 0
+    pivots = []
     ncols = len(work[0]) if work else 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if pivot_row is None:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pv = work[rank][col]
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pv = work[r][col]
         for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
+            if i != r and work[i][col] != 0:
                 f = work[i][col] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
 
 
-def rational_det(rows):
-    """Exact determinant of a square matrix, over Fractions."""
-    n = len(rows)
-    work = [[Fraction(a) for a in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = None
-        for i in range(col, n):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for i in range(col + 1, n):
-            if work[i][col] != 0:
-                f = work[i][col] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return det
+def matrix_rank(rows):
+    """Rank over the rationals."""
+    return len(_row_reduce(rows)[1])
 
 
 def solve_linear_system(rows, rhs):
@@ -158,34 +169,13 @@ def solve_linear_system(rows, rhs):
     Free variables, if any, are set to zero.  Entries may be ints or
     Fractions; the solution is a tuple of Fractions.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][col]
-        aug[r] = [a / pv for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(rows[0]) if rows else 0
+    work, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None  # a pivot in the right-hand side reads 0 = nonzero
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
+    for row, col in zip(work, pivots):
+        x[col] = row[n] / row[col]
     return tuple(x)
 
 
@@ -356,113 +346,118 @@ def saturation_basis(vs, dim):
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility (Fourier-Motzkin with witness reconstruction)
+# exact linear feasibility: one integer Fourier-Motzkin engine
+#
+# The engine works on primitive integer rows ``(b, a_1, ..., a_n)`` meaning
+# ``a . x >= b``, each mapped to the set of input rows it combines.
 
 
-def _normalize_ineq(coeffs, rhs):
-    """Scale ``coeffs . x >= rhs`` by a positive rational to primitive ints."""
-    fr = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
-    common = 1
-    for a in fr:
-        common = common * a.denominator // gcd(common, a.denominator)
-    ints = [int(a * common) for a in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints[:-1]), ints[-1]
+def _integer_rows(rows, nvars):
+    """Entry conversion of rational rows; the first copy of a row wins.
+
+    Returns None when some row reads ``0 >= b`` with ``b > 0``.
+    """
+    out = {}
+    for idx, row in enumerate(rows):
+        if len(row) != nvars + 1:
+            raise ValueError("inequality arity %d != %d" % (len(row) - 1, nvars))
+        row, _ = _coprime(row)
+        if not any(row[1:]):
+            if row[0] > 0:
+                return None
+            continue
+        out.setdefault(row, frozenset((idx,)))
+    return out
+
+
+def _eliminate(rows, bound):
+    """One Fourier-Motzkin step: project the last variable away.
+
+    Returns ``(projected, pos, neg)``, where ``pos``/``neg`` are the rows
+    bounding that variable from below/above, or None when a combination
+    reads ``0 >= b`` with ``b > 0``.  Imbert's acceleration: a combination of
+    more than ``bound`` input rows is redundant and dropped.  Of two equal
+    combinations the one with fewer ancestors is kept.
+    """
+    pos = [(r, anc) for r, anc in rows.items() if r[-1] > 0]
+    neg = [(r, anc) for r, anc in rows.items() if r[-1] < 0]
+    out = {r[:-1]: anc for r, anc in rows.items() if r[-1] == 0}
+    for p, anc_p in pos:
+        for q, anc_q in neg:
+            ancestors = anc_p | anc_q
+            if len(ancestors) > bound:
+                continue
+            a, b = -q[-1], p[-1]
+            row = tuple(a * x + b * y for x, y in zip(p[:-1], q[:-1]))
+            g = gcd(*row[1:])
+            if g == 0:
+                if row[0] > 0:
+                    return None
+                continue
+            g = gcd(g, row[0])
+            if g > 1:
+                row = tuple(v // g for v in row)
+            old = out.get(row)
+            if old is None or len(ancestors) < len(old):
+                out[row] = ancestors
+    return out, pos, neg
 
 
 def feasible_point(ineqs, nvars):
     """Exact witness for a system of inequalities ``a . x >= b``, or None.
 
     ``ineqs`` is an iterable of ``(coeffs, rhs)`` pairs over ``nvars``
-    variables.  Fourier-Motzkin elimination with Imbert's acceleration: a
-    derived row combining more than ``eliminated + 1`` original rows is
-    redundant and dropped, which keeps desk-scale systems small.
+    variables, with int or Fraction entries.  Each row is scaled once to a
+    primitive integer row; integer Fourier-Motzkin elimination then drops
+    the variables last to first, with Imbert's acceleration (a derived row
+    combining more than ``eliminated + 1`` original rows is redundant),
+    which keeps desk-scale systems small.  The witness is back-substituted
+    first to last, taking each variable midway between its bounds.
     """
-    rows = {}
-    for idx, (coeffs, rhs) in enumerate(ineqs):
-        if len(coeffs) != nvars:
-            raise ValueError("inequality arity %d != %d" % (len(coeffs), nvars))
-        row = _normalize_ineq(coeffs, rhs)
-        if all(c == 0 for c in row[0]):
-            if row[1] > 0:
-                return None
-            continue
-        ancestors = rows.get(row)
-        if ancestors is None or len(ancestors) > 1:
-            rows[row] = frozenset((idx,))
-    return _feasible(rows, nvars, 1)
-
-
-def _feasible(rows, nvars, step):
-    if nvars == 0:
-        return () if all(r <= 0 for (_, r) in rows) else None
-    k = nvars - 1
-    pos = [(row, anc) for row, anc in rows.items() if row[0][k] > 0]
-    neg = [(row, anc) for row, anc in rows.items() if row[0][k] < 0]
-    rest = {}
-    contradiction = []
-
-    def push(coeffs, rhs, ancestors):
-        if all(c == 0 for c in coeffs):
-            if rhs > 0:
-                contradiction.append(True)
-            return
-        row = _normalize_ineq(coeffs, rhs)
-        old = rest.get(row)
-        if old is None or len(ancestors) < len(old):
-            rest[row] = ancestors
-
-    for (coeffs, rhs), anc in rows.items():
-        if coeffs[k] == 0:
-            push(coeffs[:k], rhs, anc)
-    bound = step + 1
-    for (cp, rp), anc_p in pos:
-        for (cn, rn), anc_n in neg:
-            ancestors = anc_p | anc_n
-            if len(ancestors) > bound:
-                continue
-            a, b = -cn[k], cp[k]
-            coeffs = tuple(a * x + b * y for x, y in zip(cp[:k], cn[:k]))
-            push(coeffs, a * rp + b * rn, ancestors)
-    if contradiction:
+    rows = _integer_rows(((rhs, *coeffs) for coeffs, rhs in ineqs), nvars)
+    if rows is None:
         return None
-    sub = _feasible(rest, k, step + 1)
-    if sub is None:
-        return None
-    lo = None
-    for (coeffs, rhs), _ in pos:
-        value = Fraction(rhs - dot(coeffs[:k], sub), coeffs[k])
-        if lo is None or value > lo:
-            lo = value
-    hi = None
-    for (coeffs, rhs), _ in neg:
-        value = Fraction(rhs - dot(coeffs[:k], sub), coeffs[k])
-        if hi is None or value < hi:
-            hi = value
-    if lo is not None and hi is not None:
-        x = (lo + hi) / 2
-    elif lo is not None:
-        x = lo
-    elif hi is not None:
-        x = hi
-    else:
-        x = Fraction(0)
-    return sub + (x,)
+    levels = []
+    for step in range(1, nvars + 1):
+        projected = _eliminate(rows, step + 1)
+        if projected is None:
+            return None
+        rows, pos, neg = projected
+        levels.append((pos, neg))
+    point = ()
+    for pos, neg in reversed(levels):
+        lo = max((Fraction(r[0] - dot(r[1:-1], point), r[-1]) for r, _ in pos), default=None)
+        hi = min((Fraction(r[0] - dot(r[1:-1], point), r[-1]) for r, _ in neg), default=None)
+        if lo is not None and hi is not None:
+            x = (lo + hi) / 2
+        elif lo is not None:
+            x = lo
+        elif hi is not None:
+            x = hi
+        else:
+            x = Fraction(0)
+        point += (x,)
+    return point
 
 
 def _implied(normal, others, dim):
-    """Is ``normal . x >= 0`` implied by ``o . x >= 0`` for all ``o``?"""
+    """Is ``normal . x >= 0`` implied by ``o . x >= 0`` for all ``o``?
+
+    By Farkas' lemma this is also the test whether ``normal`` is a
+    nonnegative combination of ``others``.
+    """
     rows = [(o, 0) for o in others]
     rows.append((tuple(-a for a in normal), 1))
     return feasible_point(rows, dim) is None
 
 
-def _prune_normals(normals, dim):
-    rows = sorted(set(normals))
+def _irredundant(vectors, dim):
+    """Sorted distinct ``vectors``, dropping each one implied by those kept.
+
+    Applied to normals this drops redundant inequalities; applied to
+    generators it drops those lying in the cone of the others (Farkas).
+    """
+    rows = sorted(set(vectors))
     i = 0
     while i < len(rows):
         others = rows[:i] + rows[i + 1 :]
@@ -473,92 +468,28 @@ def _prune_normals(normals, dim):
     return rows
 
 
-def _fm_homogeneous(rows, keep):
-    """Eliminate all variables past index ``keep`` from homogeneous rows.
-
-    Rows are primitive integer vectors meaning ``row . y >= 0``.  Imbert's
-    acceleration applies: combinations of more than ``eliminated + 1``
-    original rows are redundant and dropped on the spot.
-    """
-    current = {}
-    for idx, row in enumerate(rows):
-        if any(row):
-            g = 0
-            for a in row:
-                g = gcd(g, abs(a))
-            current.setdefault(tuple(a // g for a in row), frozenset((idx,)))
-    nextra = (len(rows[0]) - keep) if rows else 0
-    step = 0
-    for k in range(keep + nextra - 1, keep - 1, -1):
-        step += 1
-        bound = step + 1
-        out = {}
-
-        def push(row, ancestors):
-            if not any(row):
-                return
-            g = 0
-            for v in row:
-                g = gcd(g, abs(v))
-            key = tuple(v // g for v in row)
-            old = out.get(key)
-            if old is None or len(ancestors) < len(old):
-                out[key] = ancestors
-
-        pos = [(r, a) for r, a in current.items() if r[k] > 0]
-        neg = [(r, a) for r, a in current.items() if r[k] < 0]
-        for r, a in current.items():
-            if r[k] == 0:
-                push(r[:k] + r[k + 1 :], a)
-        for p, anc_p in pos:
-            for q, anc_n in neg:
-                ancestors = anc_p | anc_n
-                if len(ancestors) > bound:
-                    continue
-                a, b = -q[k], p[k]
-                row = tuple(a * x + b * y for x, y in zip(p, q))
-                push(row[:k] + row[k + 1 :], ancestors)
-        current = out
-    return sorted(current)
-
-
 def dual_description(vectors, dim):
     """The two-way bridge between generators and inequalities of a cone.
 
     Given generators, returns the irredundant inequality normals; given
     inequality normals, the same computation returns generators.  Both are
-    instances of computing the dual cone's extreme data via Fourier-Motzkin
-    elimination.
+    instances of computing the dual cone's extreme data: the system
+    ``y = sum_j lambda_j v_j, lambda >= 0`` is projected onto ``y`` by the
+    Fourier-Motzkin engine.  No vectors give ``signed_basis(dim)``, which
+    is both the normals of the zero cone and the generators of the space.
     """
-    vecs = []
-    for v in vectors:
-        if len(v) != dim:
-            raise ValueError("vector %r does not live in dimension %d" % (v, dim))
-        if not is_zero_vector(v):
-            vecs.append(integral_direction(v))
+    vecs = _directions(vectors, dim)
     if not vecs:
-        # The zero cone: cut out by +-e_i for every coordinate.
-        normals = []
-        for i in range(dim):
-            e = tuple(1 if j == i else 0 for j in range(dim))
-            normals.append(e)
-            normals.append(tuple(-a for a in e))
-        return normals
-    k = len(vecs)
+        return signed_basis(dim)
     rows = []
-    for i in range(dim):
-        row = [0] * (dim + k)
-        row[i] = 1
-        for j, g in enumerate(vecs):
-            row[dim + j] = -g[i]
-        rows.append(tuple(row))
-        rows.append(tuple(-a for a in row))
-    for j in range(k):
-        row = [0] * (dim + k)
-        row[dim + j] = 1
-        rows.append(tuple(row))
-    projected = _fm_homogeneous(rows, dim)
-    return _prune_normals(projected, dim)
+    for i, e in enumerate(_unit_vectors(dim)):
+        row = (0, *e, *(-g[i] for g in vecs))
+        rows += [row, tuple(-a for a in row)]
+    rows += [(0,) * (1 + dim) + e for e in _unit_vectors(len(vecs))]
+    current = _integer_rows(rows, dim + len(vecs))
+    for step in range(1, len(vecs) + 1):
+        current = _eliminate(current, step + 1)[0]
+    return _irredundant([row[1:] for row in current], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -568,33 +499,27 @@ def dual_description(vectors, dim):
 class Cone:
     """Finitely generated rational convex cone.
 
-    Stored by primitive integer generators (redundant generators are pruned
-    deterministically); the inequality description is computed lazily by
-    Fourier-Motzkin elimination and cached.  The zero cone has an empty
-    generator list.  Instances are immutable; equality is set equality,
-    decided by mutual containment.
+    Stored by primitive integer generators; a generator that is a
+    nonnegative combination of the others is pruned deterministically,
+    by the same exact test that prunes redundant normals.  The inequality
+    description is computed lazily by the Fourier-Motzkin engine and
+    cached.  The zero cone has an empty generator list.  Instances are
+    immutable; equality is set equality, decided by mutual containment.
     """
 
     __slots__ = ("ambient_dim", "generators", "_normals")
 
-    def __init__(self, generators, ambient_dim=None, _normals=None):
+    def __init__(self, generators, ambient_dim=None):
         gens = list(generators)
         if ambient_dim is None:
             if not gens:
                 raise ValueError("ambient dimension required for the zero cone")
             ambient_dim = len(gens[0])
-        dirs = []
-        for g in gens:
-            if len(g) != ambient_dim:
-                raise ValueError("generator %r not in dimension %d" % (g, ambient_dim))
-            if not is_zero_vector(g):
-                d = integral_direction(g)
-                if d not in dirs:
-                    dirs.append(d)
-        dirs.sort()
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "generators", tuple(_reduce_generators(dirs, ambient_dim)))
-        object.__setattr__(self, "_normals", _normals)
+        object.__setattr__(
+            self, "generators", tuple(_irredundant(_directions(gens, ambient_dim), ambient_dim))
+        )
+        object.__setattr__(self, "_normals", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
@@ -602,22 +527,8 @@ class Cone:
     @classmethod
     def from_inequalities(cls, normals, ambient_dim):
         """Cone cut out by ``n . x >= 0`` for the given normals."""
-        norm = []
-        for n in normals:
-            if len(n) != ambient_dim:
-                raise ValueError("normal %r not in dimension %d" % (n, ambient_dim))
-            if not is_zero_vector(n):
-                norm.append(integral_direction(n))
-        pruned = _prune_normals(norm, ambient_dim)
-        gens = dual_description(pruned, ambient_dim)
-        # A vacuous system describes the whole space, not the zero cone.
-        if not pruned:
-            gens = []
-            for i in range(ambient_dim):
-                e = tuple(1 if j == i else 0 for j in range(ambient_dim))
-                gens.append(e)
-                gens.append(tuple(-a for a in e))
-        cone = cls(gens, ambient_dim)
+        pruned = _irredundant(_directions(normals, ambient_dim), ambient_dim)
+        cone = cls(dual_description(pruned, ambient_dim), ambient_dim)
         object.__setattr__(cone, "_normals", tuple(pruned))
         return cone
 
@@ -634,8 +545,6 @@ class Cone:
         return not self.generators
 
     def dim(self):
-        if not self.generators:
-            return 0
         return matrix_rank(self.generators)
 
     def is_pointed(self):
@@ -697,46 +606,22 @@ class Cone:
         return "Cone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)
 
 
-def _member_of_cone(x, gens, dim):
-    """Is ``x`` a nonnegative combination of ``gens``?  Exact feasibility."""
-    if is_zero_vector(x):
-        return True
-    if not gens:
-        return False
-    k = len(gens)
-    rows = []
-    for i in range(dim):
-        coeffs = tuple(g[i] for g in gens)
-        rows.append((coeffs, x[i]))
-        rows.append((tuple(-c for c in coeffs), -x[i]))
-    for j in range(k):
-        rows.append((tuple(1 if i == j else 0 for i in range(k)), 0))
-    return feasible_point(rows, k) is not None
-
-
-def _reduce_generators(dirs, dim):
-    """Greedily drop generators lying in the cone of the others."""
-    out = list(dirs)
-    i = 0
-    while i < len(out):
-        others = out[:i] + out[i + 1 :]
-        if _member_of_cone(out[i], others, dim):
-            out.pop(i)
-        else:
-            i += 1
-    return out
-
-
 # spec-facing functional aliases ------------------------------------------------
 
 
 def cone_contains(cone, x):
-    """Exact membership of a rational point in a closed cone."""
+    """Exact membership of a rational point in a closed cone.
+
+    Spec-facing name of :meth:`Cone.contains`, kept as public API.
+    """
     return cone.contains(x)
 
 
 def cone_dual(cone):
-    """Inequality description of ``cone``: normals of its supporting halfspaces."""
+    """Inequality description of ``cone``: normals of its supporting halfspaces.
+
+    Spec-facing name of :attr:`Cone.inequalities`, kept as public API.
+    """
     return cone.inequalities
 
 
@@ -752,18 +637,11 @@ def relint_meets(cone_a, cone_b):
     gens = cone_a.generators
     if not gens:
         return True  # relint({0}) = {0}, and 0 is in every cone
-    k = len(gens)
     rows = []
     for n in cone_b.inequalities:
         rows.append((tuple(dot(n, g) for g in gens), 0))
-    for j in range(k):
-        rows.append((tuple(1 if i == j else 0 for i in range(k)), 1))
-    return feasible_point(rows, k) is not None
-
-
-def relint_meets_region(cone, region):
-    """Alias of :func:`relint_meets` for checks against a valuation region."""
-    return relint_meets(cone, region)
+    rows += [(e, 1) for e in _unit_vectors(len(gens))]
+    return feasible_point(rows, len(gens)) is not None
 
 
 def relint_common_point(cone_a, cone_b, region=None):
@@ -774,11 +652,7 @@ def relint_common_point(cone_a, cone_b, region=None):
     ga, gb = cone_a.generators, cone_b.generators
     ka, kb = len(ga), len(gb)
     nv = ka + kb
-    rows = []
-    for j in range(ka):
-        rows.append((tuple(1 if i == j else 0 for i in range(nv)), 1))
-    for j in range(kb):
-        rows.append((tuple(1 if i == ka + j else 0 for i in range(nv)), 1))
+    rows = [(e, 1) for e in _unit_vectors(nv)]
     for i in range(dim):
         coeffs = tuple(g[i] for g in ga) + tuple(-g[i] for g in gb)
         rows.append((coeffs, 0))
@@ -794,8 +668,3 @@ def relint_common_point(cone_a, cone_b, region=None):
         for i in range(dim):
             point[i] += lam * g[i]
     return tuple(point)
-
-
-def faces(cone):
-    """All faces of a cone; see :meth:`Cone.faces`."""
-    return cone.faces()

@@ -16,7 +16,7 @@ from .lattice import (
     is_zero_vector,
     quotient_projection,
     relint_common_point,
-    relint_meets_region,
+    relint_meets,
     saturation_basis,
     mat_vec,
 )
@@ -179,7 +179,7 @@ def validate_colored_cone(space, cc, member=None):
             "cone is not generated by its colors plus its valuation-cone part",
         )
 
-    if not relint_meets_region(sigma, space.valuation_cone):
+    if not relint_meets(sigma, space.valuation_cone):
         report.add(member, "CC2", "relative interior misses the valuation cone")
 
     if not sigma.is_pointed():
@@ -231,7 +231,7 @@ def validate_colored_fan(fan):
         if not member_ok[i]:
             continue
         for face in colored_faces(space, cc):
-            if not relint_meets_region(face.cone, space.valuation_cone):
+            if not relint_meets(face.cone, space.valuation_cone):
                 continue
             if fan.member_index(face) is None:
                 report.add(
@@ -250,8 +250,8 @@ def validate_colored_fan(fan):
                 report.add(
                     i,
                     "CF2",
-                    "relative interiors of members %d and %d share the point %s inside the valuation cone"
-                    % (i, j, list(witness)),
+                    "relative interiors of members %d and %d share the point (%s) inside the valuation cone"
+                    % (i, j, ", ".join(map(str, witness))),
                     witness=witness,
                 )
     return report

@@ -231,8 +231,9 @@ def format_puiseux(p):
     return " ".join(parts)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-_TPART_RE = re.compile(r"^t(\^(?P<plain>[+-]?\d+)|\^\((?P<paren>[+-]?\d+(/\d+)?)\))?$")
+# denominators need a nonzero digit
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+_TPART_RE = re.compile(r"^t(\^(?P<plain>[+-]?\d+)|\^\((?P<paren>[+-]?\d+(/0*[1-9]\d*)?)\))?$")
 
 
 def _split_terms(text):

@@ -124,6 +124,48 @@ def test_fan_schema_error(capsys, tmp_path):
     assert code == 2
 
 
+def _fan_doc_with(tmp_path, edit):
+    doc = documents.fan_to_doc(reference_fixture("gl2_fig1_fan"))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return ["fan", "validate", str(path)]
+
+
+def _curve_doc_with(tmp_path, edit):
+    doc = _load_fixture_doc("gl2_line_curve")
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return ["balance", "check", str(path)]
+
+
+BAD_INPUTS = {
+    "member_generator_wrong_dimension": lambda tmp: _fan_doc_with(
+        tmp, lambda doc: doc["cones"][-1].update(generators=[["1", "0", "0"]])
+    ),
+    "valuation_generator_wrong_dimension": lambda tmp: _fan_doc_with(
+        tmp, lambda doc: doc["space"]["valuation_cone"].update(generators=[["1", "0", "0"]])
+    ),
+    "trop_non_square_matrix": lambda tmp: ["trop", "gln2", "[[t,1],[1]]"],
+    "curve_non_square_branch": lambda tmp: _curve_doc_with(
+        tmp, lambda doc: doc["branches"][0].update(matrix=[["t", "1"], ["1"]])
+    ),
+    "zero_exponent_denominator": lambda tmp: ["trop", "torus2", "(t^(1/0), 1)"],
+    "zero_coefficient_denominator": lambda tmp: ["trop", "torus2", "(1/0*t, 1)"],
+    "unknown_star_color": lambda tmp: [
+        "fan", "star", "--fixture", "gl2_fig1_fan", "--cone-index", "1", "--colors", "BOGUS"
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_exit_2(capsys, tmp_path, case):
+    code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # --- balance -----------------------------------------------------------------------
 
 

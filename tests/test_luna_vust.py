@@ -114,8 +114,11 @@ def test_duplicate_valuation_halfplane_breaks_cf2():
     member = ColoredCone(V, frozenset())
     report = validate_colored_fan(ColoredFan(GL2, (member, member)))
     assert "CF2" in report.axioms()
-    witness = [v.witness for v in report.violations if v.axiom == "CF2"][0]
+    violation = [v for v in report.violations if v.axiom == "CF2"][0]
+    witness = violation.witness
     assert witness is not None and V.contains(witness)
+    assert "Fraction(" not in violation.message
+    assert "(%s)" % ", ".join(map(str, witness)) in violation.message
 
 
 def test_colored_fan_with_supported_faces_is_valid():
