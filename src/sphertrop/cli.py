@@ -27,6 +27,7 @@ from .tropicalize import (
     NonIntegerRayError,
     OffSpaceError,
     branch_rays,
+    coordinate_count,
     trop_point,
 )
 
@@ -149,6 +150,11 @@ def cmd_trop(args):
     except (PuiseuxParseError, _CliInputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    arity = coordinate_count(space)
+    if len(branch.coords) != arity:
+        raise _CliInputError(
+            "%s takes %d coordinates, got %d" % (space_id, arity, len(branch.coords))
+        )
     try:
         point = trop_point(space, branch)
     except OffSpaceError as exc:

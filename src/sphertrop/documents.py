@@ -16,7 +16,7 @@ from .balance import WeightedRayFan
 from .lattice import Cone
 from .luna_vust import ColoredCone, ColoredFan, SphericalSpace
 from .puiseux import format_puiseux, parse_puiseux
-from .tropicalize import CurveBranch
+from .tropicalize import CurveBranch, coordinate_count
 
 FORMATS = (
     "space/1",
@@ -79,6 +79,16 @@ def _require(doc, key):
     return doc[key]
 
 
+_JSON_KINDS = {list: "array", dict: "object", str: "string"}
+
+
+def _shaped(value, kind, what):
+    """``value`` if it is a JSON ``kind`` (``list``, ``dict`` or ``str``)."""
+    if not isinstance(value, kind):
+        raise DocumentError("%s must be a JSON %s, got %r" % (what, _JSON_KINDS[kind], value))
+    return value
+
+
 def _check_format(doc, expected):
     fmt = _require(doc, "format")
     if fmt != expected:
@@ -110,7 +120,7 @@ def space_from_doc(doc):
 
     if isinstance(doc, dict) and "builtin" in doc:
         try:
-            return catalog.space_by_id(doc["builtin"])
+            return catalog.space_by_id(_shaped(doc["builtin"], str, "'builtin'"))
         except KeyError as exc:
             raise DocumentError(str(exc)) from None
     _check_format(doc, "space/1")
@@ -119,21 +129,24 @@ def space_from_doc(doc):
         raise DocumentError("bad rank %r" % (rank,))
     valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank)
     palette = []
-    for entry in doc.get("palette", ()):
+    for entry in _shaped(doc.get("palette", []), list, "'palette'"):
         palette.append((str(_require(entry, "label")), int_vector_from_doc(_require(entry, "vector"))))
     return SphericalSpace(
         name=str(doc.get("name", "space")),
         rank=rank,
         valuation_cone=valuation_cone,
         palette=tuple(palette),
-        character_basis_labels=tuple(doc.get("characters", ())),
+        character_basis_labels=tuple(
+            _shaped(doc.get("characters", []), list, "'characters'")
+        ),
         family=doc.get("family"),
         family_size=doc.get("family_size"),
     )
 
 
 def _cone_from_doc(doc, rank):
-    gens = [int_vector_from_doc(g) for g in _require(doc, "generators")]
+    gens = _shaped(_require(doc, "generators"), list, "'generators'")
+    gens = [int_vector_from_doc(g) for g in gens]
     try:
         return Cone(gens, rank)
     except ValueError as exc:
@@ -162,10 +175,10 @@ def fan_from_doc(doc):
     _check_format(doc, "fan/1")
     space = space_from_doc(_require(doc, "space"))
     cones = []
-    for entry in _require(doc, "cones"):
+    for entry in _shaped(_require(doc, "cones"), list, "'cones'"):
         cone = _cone_from_doc(entry, space.rank)
         colors = set()
-        for label in entry.get("colors", ()):
+        for label in _shaped(entry.get("colors", []), list, "'colors'"):
             try:
                 colors.add(space.color_index(label))
             except KeyError as exc:
@@ -196,11 +209,11 @@ def weighted_fan_from_doc(doc):
     _check_format(doc, "weighted-fan/1")
     space = space_from_doc(_require(doc, "space"))
     rays = []
-    for entry in _require(doc, "rays"):
+    for entry in _shaped(_require(doc, "rays"), list, "'rays'"):
         rays.append(
             (int_vector_from_doc(_require(entry, "vector")), integer_from_str(_require(entry, "weight")))
         )
-    colored = _colored_weights_from_doc(doc.get("colored_weights", ()), space)
+    colored = _colored_weights_from_doc(doc.get("colored_weights", []), space)
     try:
         return WeightedRayFan(space, tuple(rays), colored)
     except (ValueError, KeyError) as exc:
@@ -209,7 +222,7 @@ def weighted_fan_from_doc(doc):
 
 def _colored_weights_from_doc(entries, space):
     colored = []
-    for entry in entries:
+    for entry in _shaped(entries, list, "'colored_weights'"):
         label = _require(entry, "color")
         try:
             j = space.color_index(label)
@@ -249,22 +262,37 @@ def curve_to_doc(space, branches, colored_weights=(), expected=None):
 
 
 def curve_from_doc(doc):
-    """Returns (space, branches, colored weight pairs, expected fan or None)."""
+    """Returns (space, branches, colored weight pairs, expected fan or None).
+
+    A branch whose coordinate count does not fit a catalog family's space
+    is a schema error.
+    """
     _check_format(doc, "curve/1")
     space = space_from_doc(_require(doc, "space"))
+    arity = coordinate_count(space)
     branches = []
-    for entry in _require(doc, "branches"):
-        if "matrix" not in entry and "coords" not in entry:
+    for entry in _shaped(_require(doc, "branches"), list, "'branches'"):
+        if "matrix" not in _shaped(entry, dict, "a branch") and "coords" not in entry:
             raise DocumentError("branch needs 'coords' or 'matrix'")
         try:
             if "matrix" in entry:
-                rows = [[parse_puiseux(cell) for cell in row] for row in entry["matrix"]]
+                matrix = _shaped(entry["matrix"], list, "'matrix'")
+                rows = [
+                    [parse_puiseux(cell) for cell in _shaped(row, list, "a matrix row")]
+                    for row in matrix
+                ]
                 branches.append(CurveBranch.from_matrix(rows))
             else:
-                branches.append(CurveBranch(tuple(parse_puiseux(c) for c in entry["coords"])))
+                coords = _shaped(entry["coords"], list, "'coords'")
+                branches.append(CurveBranch(tuple(parse_puiseux(c) for c in coords)))
         except ValueError as exc:  # a parse error or a non-square matrix
             raise DocumentError("bad branch coordinates: %s" % exc) from None
-    colored = _colored_weights_from_doc(doc.get("colored_weights", ()), space)
+        if arity is not None and len(branches[-1].coords) != arity:
+            raise DocumentError(
+                "branch has %d coordinates, %s expects %d"
+                % (len(branches[-1].coords), space.name, arity)
+            )
+    colored = _colored_weights_from_doc(doc.get("colored_weights", []), space)
     expected = None
     if "expected" in doc:
         expected = weighted_fan_from_doc(doc["expected"])

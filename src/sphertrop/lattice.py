@@ -8,17 +8,34 @@ are homogeneous, so they are stored as bare normal vectors ``n`` meaning
 
 Every cone decision runs on one integer Fourier-Motzkin engine
 (:func:`_eliminate`): rational rows are scaled to primitive integer rows
-once, at entry.  :func:`feasible_point` eliminates every variable and
-back-substitutes a witness; :func:`dual_description` only projects.
-Redundant normals and redundant generators are both dropped by the same
-implication test, :func:`_implied`.
+once, at entry.  :func:`_project` eliminates every variable and so decides
+feasibility; :func:`feasible_point` then back-substitutes a witness, while
+the yes/no tests (:func:`_implied`, :func:`relint_meets`) build none.
+:func:`dual_description` only projects.  Redundant normals and redundant
+generators are both dropped by the same implication test, :func:`_implied`.
+
+The four pure exact computations are memoised in bounded LRU caches of
+``MEMO_SIZE`` entries each, keyed on immutable primitive-integer data:
+pruning (:func:`_irredundant`) on the sorted distinct vectors and the
+dimension; :func:`dual_description` on the primitive directions in input
+order and the dimension; :func:`relint_meets` on the first cone's
+generators and the second cone's normals; :func:`relint_common_point` on
+both generator tuples, the region's normals (or None) and the dimension.
+The memos sit in private helpers below the public names, so every public
+call still happens, and each stores tuples, so no caller can alter a
+cached answer.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+
+# Entries kept by each memo of an exact cone computation (least recently
+# used first out).  The answers are small tuples of ints or Fractions.
+MEMO_SIZE = 4096
 
 
 class ZeroVectorError(ValueError):
@@ -403,18 +420,14 @@ def _eliminate(rows, bound):
     return out, pos, neg
 
 
-def feasible_point(ineqs, nvars):
-    """Exact witness for a system of inequalities ``a . x >= b``, or None.
+def _project(rows, nvars):
+    """Eliminate all ``nvars`` variables from :func:`_integer_rows` output.
 
-    ``ineqs`` is an iterable of ``(coeffs, rhs)`` pairs over ``nvars``
-    variables, with int or Fraction entries.  Each row is scaled once to a
-    primitive integer row; integer Fourier-Motzkin elimination then drops
-    the variables last to first, with Imbert's acceleration (a derived row
-    combining more than ``eliminated + 1`` original rows is redundant),
-    which keeps desk-scale systems small.  The witness is back-substituted
-    first to last, taking each variable midway between its bounds.
+    Returns the per-level ``(pos, neg)`` bounds, last variable first, or
+    None when the system is infeasible (``rows`` None included).  Deciding
+    feasibility needs nothing more; only :func:`feasible_point`
+    back-substitutes a witness.
     """
-    rows = _integer_rows(((rhs, *coeffs) for coeffs, rhs in ineqs), nvars)
     if rows is None:
         return None
     levels = []
@@ -424,6 +437,25 @@ def feasible_point(ineqs, nvars):
             return None
         rows, pos, neg = projected
         levels.append((pos, neg))
+    return levels
+
+
+def feasible_point(ineqs, nvars):
+    """Exact witness for a system of inequalities ``a . x >= b``, or None.
+
+    ``ineqs`` is an iterable of ``(coeffs, rhs)`` pairs over ``nvars``
+    variables, with int or Fraction entries.  Each row is scaled once to a
+    primitive integer row; integer Fourier-Motzkin elimination then drops
+    the variables last to first, with Imbert's acceleration (a derived row
+    combining more than ``eliminated + 1`` original rows is redundant),
+    which keeps desk-scale systems small.  The witness is back-substituted
+    first to last, taking each variable midway between its bounds.  Callers
+    that need only a yes/no answer skip the witness: they run the same
+    elimination through :func:`_project`.
+    """
+    levels = _project(_integer_rows(((rhs, *coeffs) for coeffs, rhs in ineqs), nvars), nvars)
+    if levels is None:
+        return None
     point = ()
     for pos, neg in reversed(levels):
         lo = max((Fraction(r[0] - dot(r[1:-1], point), r[-1]) for r, _ in pos), default=None)
@@ -444,11 +476,11 @@ def _implied(normal, others, dim):
     """Is ``normal . x >= 0`` implied by ``o . x >= 0`` for all ``o``?
 
     By Farkas' lemma this is also the test whether ``normal`` is a
-    nonnegative combination of ``others``.
+    nonnegative combination of ``others``.  Decided without a witness.
     """
-    rows = [(o, 0) for o in others]
-    rows.append((tuple(-a for a in normal), 1))
-    return feasible_point(rows, dim) is None
+    rows = [(0, *o) for o in others]
+    rows.append((1, *(-a for a in normal)))
+    return _project(_integer_rows(rows, dim), dim) is None
 
 
 def _irredundant(vectors, dim):
@@ -456,8 +488,14 @@ def _irredundant(vectors, dim):
 
     Applied to normals this drops redundant inequalities; applied to
     generators it drops those lying in the cone of the others (Farkas).
+    Returns a tuple, memoised on the sorted distinct vectors and ``dim``.
     """
-    rows = sorted(set(vectors))
+    return _prune(tuple(sorted(set(vectors))), dim)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _prune(vectors, dim):
+    rows = list(vectors)
     i = 0
     while i < len(rows):
         others = rows[:i] + rows[i + 1 :]
@@ -465,7 +503,7 @@ def _irredundant(vectors, dim):
             rows.pop(i)
         else:
             i += 1
-    return rows
+    return tuple(rows)
 
 
 def dual_description(vectors, dim):
@@ -477,10 +515,17 @@ def dual_description(vectors, dim):
     ``y = sum_j lambda_j v_j, lambda >= 0`` is projected onto ``y`` by the
     Fourier-Motzkin engine.  No vectors give ``signed_basis(dim)``, which
     is both the normals of the zero cone and the generators of the space.
+    The answer is memoised on the primitive directions in input order (the
+    elimination's tie rule sees that order) and ``dim``; each call returns
+    a fresh list.
     """
-    vecs = _directions(vectors, dim)
+    return list(_dual(tuple(_directions(vectors, dim)), dim))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _dual(vecs, dim):
     if not vecs:
-        return signed_basis(dim)
+        return tuple(signed_basis(dim))
     rows = []
     for i, e in enumerate(_unit_vectors(dim)):
         row = (0, *e, *(-g[i] for g in vecs))
@@ -501,10 +546,13 @@ class Cone:
 
     Stored by primitive integer generators; a generator that is a
     nonnegative combination of the others is pruned deterministically,
-    by the same exact test that prunes redundant normals.  The inequality
-    description is computed lazily by the Fourier-Motzkin engine and
-    cached.  The zero cone has an empty generator list.  Instances are
-    immutable; equality is set equality, decided by mutual containment.
+    by the same exact test that prunes redundant normals, and the pruning
+    is memoised on the sorted distinct directions, so rebuilding a cone
+    from generators seen before costs no elimination.  The inequality
+    description is computed lazily by :func:`dual_description` (itself
+    memoised) and kept on the instance.  The zero cone has an empty
+    generator list.  Instances are immutable; equality is set equality,
+    decided by mutual containment.
     """
 
     __slots__ = ("ambient_dim", "generators", "_normals")
@@ -517,7 +565,7 @@ class Cone:
             ambient_dim = len(gens[0])
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(
-            self, "generators", tuple(_irredundant(_directions(gens, ambient_dim), ambient_dim))
+            self, "generators", _irredundant(_directions(gens, ambient_dim), ambient_dim)
         )
         object.__setattr__(self, "_normals", None)
 
@@ -529,7 +577,7 @@ class Cone:
         """Cone cut out by ``n . x >= 0`` for the given normals."""
         pruned = _irredundant(_directions(normals, ambient_dim), ambient_dim)
         cone = cls(dual_description(pruned, ambient_dim), ambient_dim)
-        object.__setattr__(cone, "_normals", tuple(pruned))
+        object.__setattr__(cone, "_normals", pruned)
         return cone
 
     @property
@@ -630,26 +678,38 @@ def relint_meets(cone_a, cone_b):
 
     Decided exactly: relint(cone_a) is the set of strictly positive
     combinations of its generators, and by homogeneity strict positivity
-    can be normalized to ``lambda_i >= 1``.
+    can be normalized to ``lambda_i >= 1``.  No witness is built; the answer
+    is memoised on ``cone_a``'s generators and ``cone_b``'s normals.
     """
     if cone_b.ambient_dim != cone_a.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    gens = cone_a.generators
-    if not gens:
+    if not cone_a.generators:
         return True  # relint({0}) = {0}, and 0 is in every cone
-    rows = []
-    for n in cone_b.inequalities:
-        rows.append((tuple(dot(n, g) for g in gens), 0))
-    rows += [(e, 1) for e in _unit_vectors(len(gens))]
-    return feasible_point(rows, len(gens)) is not None
+    return _relint_meets(cone_a.generators, cone_b.inequalities)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _relint_meets(gens, normals):
+    rows = [(0, *(dot(n, g) for g in gens)) for n in normals]
+    rows += [(1, *e) for e in _unit_vectors(len(gens))]
+    return _project(_integer_rows(rows, len(gens)), len(gens)) is not None
 
 
 def relint_common_point(cone_a, cone_b, region=None):
-    """Exact rational point in relint(a) & relint(b) (& region), or None."""
+    """Exact rational point in relint(a) & relint(b) (& region), or None.
+
+    Memoised on both generator tuples, the region's normals (None without a
+    region) and the ambient dimension.
+    """
     dim = cone_a.ambient_dim
     if cone_b.ambient_dim != dim or (region is not None and region.ambient_dim != dim):
         raise ValueError("ambient dimension mismatch")
-    ga, gb = cone_a.generators, cone_b.generators
+    normals = None if region is None else region.inequalities
+    return _relint_common_point(cone_a.generators, cone_b.generators, normals, dim)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _relint_common_point(ga, gb, normals, dim):
     ka, kb = len(ga), len(gb)
     nv = ka + kb
     rows = [(e, 1) for e in _unit_vectors(nv)]
@@ -657,9 +717,8 @@ def relint_common_point(cone_a, cone_b, region=None):
         coeffs = tuple(g[i] for g in ga) + tuple(-g[i] for g in gb)
         rows.append((coeffs, 0))
         rows.append((tuple(-c for c in coeffs), 0))
-    if region is not None:
-        for n in region.inequalities:
-            rows.append((tuple(dot(n, g) for g in ga) + (0,) * kb, 0))
+    for n in normals or ():
+        rows.append((tuple(dot(n, g) for g in ga) + (0,) * kb, 0))
     witness = feasible_point(rows, nv)
     if witness is None:
         return None

@@ -234,6 +234,7 @@ def format_puiseux(p):
 # denominators need a nonzero digit
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 _TPART_RE = re.compile(r"^t(\^(?P<plain>[+-]?\d+)|\^\((?P<paren>[+-]?\d+(/0*[1-9]\d*)?)\))?$")
+_ZERO_DENOMINATOR_RE = re.compile(r"/0+(?!\d)")
 
 
 def _split_terms(text):
@@ -301,6 +302,8 @@ def parse_puiseux(text):
             raise PuiseuxParseError("empty factor in term %r" % chunk)
         if len(pieces) > 2:
             raise PuiseuxParseError("too many factors in term %r" % chunk)
+        if _ZERO_DENOMINATOR_RE.search(chunk):
+            raise PuiseuxParseError("zero denominator in term %r" % chunk)
         if len(pieces) == 2:
             coeff_text, tpart = pieces
             if not _RATIONAL_RE.match(coeff_text):

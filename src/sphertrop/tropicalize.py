@@ -149,34 +149,41 @@ def cartan_valuations_by_elimination(M):
     return tuple(reversed(increasing))
 
 
+def coordinate_count(space):
+    """Coordinates of a branch in ``space``: n for torus(n), 2 for sl2_u,
+    n*n for gln(n); None outside the catalog families."""
+    if space.family == "torus":
+        return space.rank
+    if space.family == "sl2_u":
+        return 2
+    if space.family == "gln":
+        return space.family_size**2
+    return None
+
+
 def trop_point(space, branch):
     """Tropicalize a branch in the given catalog space.
 
     Dispatches on the space's family and checks that the result lies in the
-    valuation cone.
+    valuation cone.  A branch with the wrong number of coordinates is off
+    the space.
     """
     coords = branch.coords
+    n = coordinate_count(space)
+    if n is None:
+        raise ValueError("unsupported space kind %r" % (space.family,))
+    if len(coords) != n:
+        raise OffSpaceError("branch has %d coordinates, expected %d" % (len(coords), n))
     if space.family == "torus":
-        _expect_len(coords, space.rank)
         values = trop_torus(coords)
     elif space.family == "sl2_u":
-        _expect_len(coords, 2)
         values = trop_sl2u(*coords)
-    elif space.family == "gln":
-        n = space.family_size
-        _expect_len(coords, n * n)
-        values = invariant_factor_valuations(branch.matrix(n))
     else:
-        raise ValueError("unsupported space kind %r" % (space.family,))
+        values = invariant_factor_valuations(branch.matrix(space.family_size))
     point = TropicalPoint(space, values)
     if not space.valuation_cone.contains(point.coords):
         raise OffSpaceError("tropical point %r escapes the valuation cone" % (values,))
     return point
-
-
-def _expect_len(coords, n):
-    if len(coords) != n:
-        raise OffSpaceError("branch has %d coordinates, expected %d" % (len(coords), n))
 
 
 def trop_branch_ray(space, branch):

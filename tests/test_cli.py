@@ -156,6 +156,35 @@ BAD_INPUTS = {
     "unknown_star_color": lambda tmp: [
         "fan", "star", "--fixture", "gl2_fig1_fan", "--cone-index", "1", "--colors", "BOGUS"
     ],
+    "curve_branches_not_array": lambda tmp: _curve_doc_with(tmp, lambda doc: doc.update(branches=5)),
+    "curve_branch_not_object": lambda tmp: _curve_doc_with(
+        tmp, lambda doc: doc["branches"].__setitem__(0, 5)
+    ),
+    "curve_matrix_not_array": lambda tmp: _curve_doc_with(
+        tmp, lambda doc: doc["branches"][0].update(matrix=5)
+    ),
+    "curve_matrix_rows_not_arrays": lambda tmp: _curve_doc_with(
+        tmp, lambda doc: doc["branches"][0].update(matrix=[5, 6])
+    ),
+    "curve_coords_not_array": lambda tmp: _curve_doc_with(
+        tmp, lambda doc: doc["branches"].__setitem__(0, {"coords": 5})
+    ),
+    "curve_colored_weights_not_array": lambda tmp: _curve_doc_with(
+        tmp, lambda doc: doc.update(colored_weights=5)
+    ),
+    "curve_branch_wrong_arity": lambda tmp: _curve_doc_with(
+        tmp, lambda doc: doc["branches"].__setitem__(0, {"coords": ["t", "1"]})
+    ),
+    "fan_cones_not_array": lambda tmp: _fan_doc_with(tmp, lambda doc: doc.update(cones=5)),
+    "fan_generators_not_array": lambda tmp: _fan_doc_with(
+        tmp, lambda doc: doc["cones"][-1].update(generators=5)
+    ),
+    "fan_colors_not_array": lambda tmp: _fan_doc_with(
+        tmp, lambda doc: doc["cones"][-1].update(colors=5)
+    ),
+    "fan_builtin_not_string": lambda tmp: _fan_doc_with(
+        tmp, lambda doc: doc.update(space={"builtin": 5})
+    ),
 }
 
 
@@ -164,6 +193,19 @@ def test_bad_input_is_exit_2(capsys, tmp_path, case):
     code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("coords", ["(1/0, 1)", "(1/00*t, 1)", "(t^(1/0), 1)"])
+def test_zero_denominator_is_named(capsys, coords):
+    code, _, err = run(capsys, "trop", "torus2", coords)
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_trop_arity_mismatch_is_input_error(capsys):
+    code, _, err = run(capsys, "trop", "gln2", "[[1]]")
+    assert code == 2
+    assert err == "error: gln2 takes 4 coordinates, got 1\n"
 
 
 # --- balance -----------------------------------------------------------------------

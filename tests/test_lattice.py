@@ -6,11 +6,15 @@ from math import gcd
 
 import pytest
 
+from sphertrop import lattice
 from sphertrop.lattice import (
     Cone,
     ZeroVectorError,
+    _integer_rows,
+    _project,
     cone_contains,
     cone_dual,
+    dual_description,
     feasible_point,
     leading_positive,
     mat_mul,
@@ -264,6 +268,52 @@ def test_relint_common_point_is_exact_witness():
     assert V.contains(w) and c.contains(w)
 
 
+def _memos():
+    return [f for f in vars(lattice).values() if hasattr(f, "cache_info")]
+
+
+def test_relint_answers_match_cold_and_warm():
+    rng = random.Random(6)
+    V = Cone.from_inequalities([(1, -1)], 2)
+    pairs = [(Cone([(-1, 1)]), V), (Cone([(-1, 1), (1, 0)]), V), (V, V), (Cone([], 2), V)]
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        pairs.append((random_cone(rng, dim), random_cone(rng, dim)))
+
+    def answers(a, b):
+        return relint_meets(a, b), relint_common_point(a, b), relint_common_point(a, a, b)
+
+    cold = []
+    for a, b in pairs:
+        for memo in _memos():
+            memo.cache_clear()
+        cold.append(answers(a, b))
+    for a, b in pairs:
+        answers(a, b)  # fill the memos, so the pass below reads them
+    assert [answers(a, b) for a, b in pairs] == cold
+    assert any(meets for meets, _, _ in cold) and not all(meets for meets, _, _ in cold)
+
+
+# --- memos -------------------------------------------------------------------
+
+
+def test_memos_are_bounded():
+    memos = _memos()
+    assert memos
+    for memo in memos:
+        assert isinstance(memo.cache_info().maxsize, int)
+
+
+def test_dual_description_result_is_a_fresh_list():
+    gens = [(1, 0), (1, 2)]
+    first = dual_description(gens, 2)
+    expected = list(first)
+    first[0] = (0, 0)
+    first.append((9, 9))
+    assert dual_description(gens, 2) == expected
+    assert dual_description([], 2) is not dual_description([], 2)
+
+
 # --- faces -------------------------------------------------------------------
 
 
@@ -349,6 +399,8 @@ def test_feasibility_matches_unaccelerated_reference():
             ]
         witness = feasible_point(rows, nvars)
         assert (witness is not None) == naive_fm_feasible(rows, nvars)
+        integer_rows = _integer_rows(((rhs, *coeffs) for coeffs, rhs in rows), nvars)
+        assert (_project(integer_rows, nvars) is None) == (witness is None)
         if witness is None:
             seen_infeasible += 1
         else:
