@@ -127,6 +127,13 @@ def space_from_doc(doc):
     rank = _require(doc, "rank")
     if not isinstance(rank, int) or rank < 1:
         raise DocumentError("bad rank %r" % (rank,))
+    family, family_size = doc.get("family"), doc.get("family_size")
+    if family not in (None, "torus", "sl2_u", "gln"):
+        raise DocumentError("unknown family %r (expected torus, sl2_u or gln)" % (family,))
+    if family == "sl2_u" and rank != 1:
+        raise DocumentError("an sl2_u space has rank 1, got %d" % rank)
+    if family == "gln" and (type(family_size) is not int or family_size != rank):
+        raise DocumentError("a gln space needs family_size %d (its rank), got %r" % (rank, family_size))
     valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank)
     palette = []
     for entry in _shaped(doc.get("palette", []), list, "'palette'"):
@@ -139,8 +146,8 @@ def space_from_doc(doc):
         character_basis_labels=tuple(
             _shaped(doc.get("characters", []), list, "'characters'")
         ),
-        family=doc.get("family"),
-        family_size=doc.get("family_size"),
+        family=family,
+        family_size=family_size,
     )
 
 
@@ -264,12 +271,14 @@ def curve_to_doc(space, branches, colored_weights=(), expected=None):
 def curve_from_doc(doc):
     """Returns (space, branches, colored weight pairs, expected fan or None).
 
-    A branch whose coordinate count does not fit a catalog family's space
-    is a schema error.
+    The space must belong to a catalog family, and a branch whose
+    coordinate count does not fit that family is a schema error.
     """
     _check_format(doc, "curve/1")
     space = space_from_doc(_require(doc, "space"))
     arity = coordinate_count(space)
+    if arity is None:
+        raise DocumentError("a curve/1 space needs a family (torus, sl2_u or gln)")
     branches = []
     for entry in _shaped(_require(doc, "branches"), list, "'branches'"):
         if "matrix" not in _shaped(entry, dict, "a branch") and "coords" not in entry:
@@ -287,7 +296,7 @@ def curve_from_doc(doc):
                 branches.append(CurveBranch(tuple(parse_puiseux(c) for c in coords)))
         except ValueError as exc:  # a parse error or a non-square matrix
             raise DocumentError("bad branch coordinates: %s" % exc) from None
-        if arity is not None and len(branches[-1].coords) != arity:
+        if len(branches[-1].coords) != arity:
             raise DocumentError(
                 "branch has %d coordinates, %s expects %d"
                 % (len(branches[-1].coords), space.name, arity)

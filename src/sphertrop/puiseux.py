@@ -9,10 +9,9 @@ exceeds every valuation in play.  The valuation of the zero polynomial is
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
-from math import gcd, inf
+from math import inf, lcm
 
 INF = inf
 _ZERO = Fraction(0)
@@ -90,9 +89,6 @@ class PuiseuxPoly:
                 return c
         return Fraction(0)
 
-    def max_exponent(self):
-        return self._terms[-1][0] if self._terms else -INF
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -140,15 +136,7 @@ class PuiseuxPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return PuiseuxPoly.zero()
-        # merge exponents on a common integer grid: int keys hash far
-        # faster than Fractions and the grid denominator stays small
-        den = 1
-        for q, _ in self._terms:
-            den = den * q.denominator // gcd(den, q.denominator)
-        for q, _ in other._terms:
-            den = den * q.denominator // gcd(den, q.denominator)
-        left = [(int(q * den), c) for q, c in self._terms]
-        right = [(int(q * den), c) for q, c in other._terms]
+        den, left, right = _on_grid(self, other)
         acc = {}
         for qa, ca in left:
             for qb, cb in right:
@@ -180,6 +168,16 @@ class PuiseuxPoly:
 
     def __repr__(self):
         return "PuiseuxPoly(%r)" % format_puiseux(self)
+
+
+def _on_grid(a, b):
+    """``(den, a_terms, b_terms)`` with exponents as ints on the grid 1/den.
+
+    Int keys hash far faster than Fractions, and den, the lcm of the
+    exponent denominators, stays small.
+    """
+    den = lcm(*(q.denominator for q, _ in a._terms + b._terms))
+    return den, [(int(q * den), c) for q, c in a._terms], [(int(q * den), c) for q, c in b._terms]
 
 
 def _coerce(x):
@@ -328,29 +326,39 @@ def parse_puiseux(text):
 
 
 # ---------------------------------------------------------------------------
-# exact division and fractions (the field of fractions keeps elimination exact,
-# since finite Puiseux polynomials are not closed under division)
+# exact division and fractions (the field of fractions keeps the independent
+# elimination in tropicalize exact: finite Puiseux polynomials are no field)
 
 
 def divexact(p, d):
-    """Quotient ``p / d`` when the division is exact, else None."""
+    """Quotient ``p / d`` when the division is exact, else None.
+
+    Long division from the lowest term, on the exponent grid of ``__mul__``;
+    one dict holds the remainder.
+    """
     if d.is_zero:
         raise ZeroDivisionError("division by the zero Puiseux polynomial")
     if p.is_zero:
         return PuiseuxPoly.zero()
-    d_lead_exp, d_lead_c = d.terms[0]
-    max_q_exp = p.max_exponent() - d.max_exponent()
-    quotient = []
-    r = p
-    while not r.is_zero:
-        e, c = r.terms[0]
-        q_exp = e - d_lead_exp
-        if q_exp > max_q_exp:
+    den, rem, divisor = _on_grid(p, d)
+    rem = dict(rem)
+    lead_e, lead_c = divisor[0]
+    # an exact quotient's top exponent is the difference of the top exponents
+    top = max(rem) - divisor[-1][0]
+    quotient = {}
+    while rem:
+        e = min(rem) - lead_e
+        if e > top:
             return None
-        q_c = c / d_lead_c
-        quotient.append((q_exp, q_c))
-        r = r - PuiseuxPoly.t_power(q_exp, q_c) * d
-    return PuiseuxPoly(quotient)
+        c = rem[e + lead_e] / lead_c
+        quotient[Fraction(e, den)] = c
+        for de, dc in divisor:
+            left = rem.get(e + de, _ZERO) - c * dc
+            if left:
+                rem[e + de] = left
+            else:
+                del rem[e + de]
+    return PuiseuxPoly._from_accumulator(quotient)
 
 
 class PuiseuxFraction:
@@ -434,105 +442,76 @@ def _check_square(M):
     return n
 
 
-def _det_cofactor(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    out = PuiseuxPoly.zero()
-    for j in range(n):
-        if M[0][j].is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        term = M[0][j] * _det_cofactor(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+def _pivots(M):
+    """Fraction-free (Bareiss) elimination, pivoting on a least-valuation entry.
 
-
-def _det_bareiss(M):
-    # Fraction-free elimination; every division is exact in the polynomial ring.
-    n = len(M)
+    Returns ``(sign, pivots)``: ``sign`` is the parity of the row and column
+    swaps, and by Sylvester's identity the k-th pivot is the leading k x k
+    minor of the swapped matrix, so every division below is exact.  Divided
+    by the previous pivot, the remaining block is the Schur complement of
+    plain elimination, whose least-valuation pivots keep every multiplier
+    integral over the valuation ring; so the k-th pivot is a k x k minor of
+    least valuation (Caruso, Roe and Vaccon, ISSAC 2015).  Elimination stops
+    at the first step whose remaining block is all zero.
+    """
+    n = _check_square(M)
     work = [list(row) for row in M]
     sign = 1
-    prev = PuiseuxPoly.one()
-    for k in range(n - 1):
-        if work[k][k].is_zero:
-            pivot_row = None
-            for i in range(k + 1, n):
-                if not work[i][k].is_zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return PuiseuxPoly.zero()
-            work[k], work[pivot_row] = work[pivot_row], work[k]
+    pivots = []
+    for k in range(n):
+        best = INF
+        for i in range(k, n):
+            for j in range(k, n):
+                v = work[i][j].val()
+                if v < best:
+                    best, pi, pj = v, i, j
+        if best == INF:
+            break
+        if pi != k:
+            work[k], work[pi] = work[pi], work[k]
             sign = -sign
+        if pj != k:
+            for row in work:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        pivot = work[k][k]
         for i in range(k + 1, n):
+            row, lead = work[i], work[i][k]
             for j in range(k + 1, n):
-                num = work[k][k] * work[i][j] - work[i][k] * work[k][j]
-                q = divexact(num, prev)
-                if q is None:
-                    raise ArithmeticError("non-exact Bareiss division")
-                work[i][j] = q
-            work[i][k] = PuiseuxPoly.zero()
-        prev = work[k][k]
-    det = work[n - 1][n - 1]
-    return det if sign == 1 else -det
+                num = pivot * row[j]
+                if lead and work[k][j]:
+                    num = num - lead * work[k][j]
+                if pivots:
+                    num = divexact(num, pivots[-1])
+                    if num is None:
+                        raise ArithmeticError("non-exact Bareiss division")
+                row[j] = num
+        pivots.append(pivot)
+    return sign, pivots
 
 
 def determinant(M):
     """Exact determinant of a square matrix of Puiseux polynomials.
 
-    Cofactor expansion up to 4x4, fraction-free elimination above; the two
-    paths agree (tested), the split is purely about term growth.
+    By Sylvester's identity, the last pivot of the fraction-free elimination
+    behind :func:`minor_valuation_profile`, up to the sign of its swaps.
     """
-    n = _check_square(M)
-    if n <= 4:
-        return _det_cofactor(M)
-    return _det_bareiss(M)
+    sign, pivots = _pivots(M)
+    if len(pivots) < len(M):
+        return PuiseuxPoly.zero()
+    return pivots[-1] if sign == 1 else -pivots[-1]
 
 
 def minor_valuation_profile(M):
     """Minimum valuation over k x k minors, for every k = 1..n at once.
 
-    Submatrix determinants are shared across minor sizes (memoized Laplace
-    expansion over row/column bitmasks), which is what makes the n = 4
-    invariant-factor path cheap.
+    The valuations of the elimination pivots: pivoting on an entry of least
+    valuation makes the k-th pivot, by Sylvester's identity a k x k minor,
+    one of least valuation.  Sizes above the rank give INF.  The work is
+    O(n^3) Puiseux products.
     """
-    n = _check_square(M)
-    dets = {}
-
-    def det(rmask, cmask):
-        key = (rmask, cmask)
-        cached = dets.get(key)
-        if cached is not None:
-            return cached
-        rows = [i for i in range(n) if rmask >> i & 1]
-        cols = [j for j in range(n) if cmask >> j & 1]
-        if len(rows) == 1:
-            out = M[rows[0]][cols[0]]
-        else:
-            i = rows[0]
-            sub_rmask = rmask & ~(1 << i)
-            out = PuiseuxPoly.zero()
-            for idx, j in enumerate(cols):
-                if M[i][j].is_zero:
-                    continue
-                term = M[i][j] * det(sub_rmask, cmask & ~(1 << j))
-                out = out + term if idx % 2 == 0 else out - term
-        dets[key] = out
-        return out
-
-    profile = []
-    for k in range(1, n + 1):
-        best = INF
-        for rows in itertools.combinations(range(n), k):
-            rmask = sum(1 << i for i in rows)
-            for cols in itertools.combinations(range(n), k):
-                cmask = sum(1 << j for j in cols)
-                v = det(rmask, cmask).val()
-                if v < best:
-                    best = v
-        profile.append(best)
-    return profile
+    _, pivots = _pivots(M)
+    return [p.val() for p in pivots] + [INF] * (len(M) - len(pivots))
 
 
 def min_minor_valuation(M, k):

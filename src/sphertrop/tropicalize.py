@@ -92,6 +92,10 @@ def invariant_factor_valuations(M):
     Computed through minor valuations: with d_k the minimum valuation over
     all k x k minors, the increasing invariant-factor valuations are the
     consecutive differences of the d_k, and the result is their reversal.
+    :func:`minor_valuation_profile` reads every d_k off one fraction-free
+    elimination: by Sylvester's identity its k-th pivot is a k x k minor,
+    and pivoting on a least-valuation entry makes it one of least
+    valuation, so the work is O(n^3) Puiseux products.
     Raises :class:`OffSpaceError` on singular matrices.
     """
     ds = minor_valuation_profile(M)

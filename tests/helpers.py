@@ -1,5 +1,6 @@
 """Shared random generators for the test suite (all seeded by callers)."""
 
+import itertools
 from fractions import Fraction
 
 from sphertrop.lattice import Cone, primitive, is_zero_vector
@@ -22,6 +23,23 @@ def random_poly(rng, min_terms=1, max_terms=3, allow_zero=False):
     if p.is_zero and not allow_zero:
         return random_poly(rng, min_terms, max_terms, allow_zero)
     return p
+
+
+def permutation_determinant(M):
+    """Leibniz sum over all permutations: the definitional determinant."""
+    n = len(M)
+    out = PuiseuxPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = PuiseuxPoly.one()
+        for i in range(n):
+            term = term * M[i][perm[i]]
+        out = out + term if sign == 1 else out - term
+    return out
 
 
 def random_matrix(rng, n, allow_zero=True):

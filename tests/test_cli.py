@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sphertrop import documents
-from sphertrop.catalog import _load_fixture_doc, reference_fixture
+from sphertrop.catalog import _load_fixture_doc, reference_fixture, space_by_id
 from sphertrop.cli import main
 from sphertrop.fuzz import mutate
 
@@ -140,6 +140,24 @@ def _curve_doc_with(tmp_path, edit):
     return ["balance", "check", str(path)]
 
 
+def _curve_space_with(tmp_path, space_edit, branches=None):
+    """The gl2_line_curve document with its space written out as space/1.
+
+    ``branches`` replaces the fixture's branches, so that they fit the
+    edited space and the reader gets past the arity check.
+    """
+
+    def edit(doc):
+        doc["space"] = documents.space_to_doc(space_by_id("gln2"))
+        space_edit(doc["space"])
+        if branches is not None:
+            doc["branches"] = branches
+            doc["colored_weights"] = []
+            del doc["expected"]
+
+    return _curve_doc_with(tmp_path, edit)
+
+
 BAD_INPUTS = {
     "member_generator_wrong_dimension": lambda tmp: _fan_doc_with(
         tmp, lambda doc: doc["cones"][-1].update(generators=[["1", "0", "0"]])
@@ -184,6 +202,32 @@ BAD_INPUTS = {
     ),
     "fan_builtin_not_string": lambda tmp: _fan_doc_with(
         tmp, lambda doc: doc.update(space={"builtin": 5})
+    ),
+    "gln_space_without_family_size": lambda tmp: _curve_space_with(
+        tmp, lambda space: space.pop("family_size")
+    ),
+    "gln_space_string_family_size": lambda tmp: _curve_space_with(
+        tmp, lambda space: space.update(family_size="2")
+    ),
+    "gln_space_bool_family_size": lambda tmp: _curve_space_with(
+        tmp,
+        lambda space: space.update(
+            family_size=True, rank=1, palette=[], valuation_cone={"generators": [["1"], ["-1"]]}
+        ),
+        branches=[{"matrix": [["t"]]}],
+    ),
+    "gln_family_size_not_rank": lambda tmp: _curve_space_with(
+        tmp,
+        lambda space: space.update(family_size=3),
+        branches=[{"matrix": [["t", "0", "0"], ["0", "t", "0"], ["0", "0", "t"]]}],
+    ),
+    "unknown_family_name": lambda tmp: _curve_space_with(tmp, lambda space: space.update(family="foo")),
+    "unknown_family_number": lambda tmp: _curve_space_with(tmp, lambda space: space.update(family=5)),
+    "sl2u_space_of_rank_2": lambda tmp: _curve_space_with(
+        tmp, lambda space: space.update(family="sl2_u"), branches=[{"coords": ["t", "1"]}]
+    ),
+    "curve_on_family_less_space": lambda tmp: _curve_space_with(
+        tmp, lambda space: space.update(family=None, family_size=None)
     ),
 }
 

@@ -9,16 +9,16 @@ from sphertrop.puiseux import (
     PuiseuxFraction,
     PuiseuxParseError,
     PuiseuxPoly,
-    _det_bareiss,
     determinant,
     divexact,
     format_puiseux,
     min_minor_valuation,
+    minor_valuation_profile,
     parse_puiseux,
     val,
 )
 
-from helpers import random_matrix, random_poly
+from helpers import permutation_determinant, random_matrix, random_poly, random_unit_matrix
 
 t = PuiseuxPoly.t_power(1)
 one = PuiseuxPoly.one()
@@ -78,40 +78,12 @@ def test_determinant_examples():
     assert determinant(with_zero_row).is_zero
 
 
-def permutation_determinant(M):
-    n = len(M)
-    out = PuiseuxPoly.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = PuiseuxPoly.one()
-        for i in range(n):
-            term = term * M[i][perm[i]]
-        out = out + term if sign == 1 else out - term
-    return out
-
-
 def test_determinant_against_permutation_sum():
     rng = random.Random(12)
-    for _ in range(25):
-        M = random_matrix(rng, 3)
-        assert determinant(M) == permutation_determinant(M)
-
-
-def test_cofactor_and_bareiss_agree():
-    rng = random.Random(13)
-    for n in (2, 3, 4):
-        for _ in range(6):
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(25 if n == 3 else 6):
             M = random_matrix(rng, n)
-            # determinant() takes the cofactor path for n <= 4
-            assert _det_bareiss(M) == determinant(M)
-    # n = 5 exercises the Bareiss path inside determinant() itself
-    M = random_matrix(rng, 5)
-    assert determinant(M) == permutation_determinant(M)
+            assert determinant(M) == permutation_determinant(M)
 
 
 # --- minors ----------------------------------------------------------------------
@@ -132,15 +104,78 @@ def test_min_minor_examples():
     assert min_minor_valuation([[zero, zero], [zero, zero]], 1) == INF
 
 
+def _profile_by_minors(M):
+    n = len(M)
+    profile = []
+    for k in range(1, n + 1):
+        profile.append(
+            min(
+                val(permutation_determinant([[M[i][j] for j in cols] for i in rows]))
+                for rows in itertools.combinations(range(n), k)
+                for cols in itertools.combinations(range(n), k)
+            )
+        )
+    return profile
+
+
+def test_minor_profile_against_all_minors():
+    # entries have Laurent and half-integer exponents; zero entries are common
+    rng = random.Random(16)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for _ in range(8):
+            cases.append(random_matrix(rng, n))
+        M = random_matrix(rng, n)
+        if n > 1:
+            M[-1] = list(M[0])  # a repeated row: rank deficient
+        cases.append(M)
+        cases.append([[zero if rng.random() < 0.6 else p for p in row] for row in random_matrix(rng, n)])
+    M = random_matrix(rng, 5)
+    M[3] = list(M[1])
+    cases += [random_matrix(rng, 5), M]
+    for M in cases:
+        assert minor_valuation_profile(M) == _profile_by_minors(M)
+
+
+def test_minor_profile_does_cubic_polynomial_work(monkeypatch):
+    # a gln-shaped branch g diag(t^a) h with integral units g and h
+    rng = random.Random(17)
+    n = 7
+    a = [3, -1, 0, 2, -2, 1, 4]
+    g = random_unit_matrix(rng, n)
+    h = random_unit_matrix(rng, n)
+    gd = [[g[i][k] * PuiseuxPoly.t_power(a[k]) for k in range(n)] for i in range(n)]
+    M = [[sum((gd[i][k] * h[k][j] for k in range(n)), zero) for j in range(n)] for i in range(n)]
+    calls = []
+    original = PuiseuxPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(PuiseuxPoly, "__mul__", counting)
+    profile = minor_valuation_profile(M)
+    assert profile == list(itertools.accumulate(sorted(a)))
+    assert len(calls) <= n**3
+
+
 # --- exact division and fractions -------------------------------------------------
 
 
 def test_divexact_roundtrip():
     rng = random.Random(14)
-    for _ in range(100):
+    exact = 0
+    for _ in range(300):
         p = random_poly(rng)
-        q = random_poly(rng)
-        assert divexact(p * q, q) == p
+        d = random_poly(rng, max_terms=rng.choice((1, 2, 3)))
+        # thirds put the operands on a grid finer than either one's own
+        d = d * PuiseuxPoly.t_power(Fraction(rng.randint(-4, 4), 3))
+        assert divexact(p * d, d) == p
+        q = divexact(p, d)
+        if q is not None:
+            exact += 1
+            assert q * d == p
+    assert exact > 50
     assert divexact(one + t, one + t + t**2) is None
     with pytest.raises(ZeroDivisionError):
         divexact(one, zero)
