@@ -86,6 +86,33 @@ def test_determinant_against_permutation_sum():
             assert determinant(M) == permutation_determinant(M)
 
 
+def _det_cofactor(M):
+    """Laplace expansion along the first row: an elimination-free reference."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    out = PuiseuxPoly.zero()
+    for j in range(n):
+        if M[0][j].is_zero:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
+        term = M[0][j] * _det_cofactor(minor)
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def test_cofactor_and_bareiss_agree():
+    rng = random.Random(13)
+    for n in (2, 3, 4, 5):
+        for _ in range(6):
+            M = random_matrix(rng, n)
+            # determinant() is the least-valuation Bareiss elimination for every n
+            assert determinant(M) == _det_cofactor(M)
+    M = random_matrix(rng, 5)
+    M[3] = list(M[1])  # rank deficient: the elimination stops early
+    assert determinant(M).is_zero and _det_cofactor(M).is_zero
+
+
 # --- minors ----------------------------------------------------------------------
 
 
