@@ -81,11 +81,14 @@ _SPACE_ID_RE = re.compile(r"^(torus|gln)(\d+)$")
 
 
 def space_by_id(ident):
-    """Resolve CLI-style space identifiers: ``torus2``, ``gln3``, ``sl2u``."""
+    """Resolve CLI-style space identifiers: ``torus2``, ``gln3``, ``sl2u``.
+
+    An unknown id, size 0 included, raises KeyError.
+    """
     if ident in ("sl2u", "sl2_u"):
         return builtin_space("sl2_u")
     m = _SPACE_ID_RE.match(ident)
-    if not m:
+    if not m or not int(m.group(2)):
         raise KeyError("unknown space id %r" % (ident,))
     return builtin_space(m.group(1), int(m.group(2)))
 

@@ -138,18 +138,12 @@ def cmd_trop(args):
     if args.space_flag and coordinates is None:
         coordinates = args.space  # the lone positional is the coordinates
     if not space_id or not coordinates:
-        print("error: trop needs a space id and coordinates", file=sys.stderr)
-        return EXIT_INPUT
+        raise _CliInputError("trop needs a space id and coordinates")
     try:
         space = catalog.space_by_id(space_id)
     except KeyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        branch = _parse_coordinates(coordinates)
-    except (PuiseuxParseError, _CliInputError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+        raise _CliInputError(str(exc)) from None
+    branch = _parse_coordinates(coordinates)
     arity = coordinate_count(space)
     if len(branch.coords) != arity:
         raise _CliInputError(
@@ -181,11 +175,9 @@ def cmd_fan(args):
         return EXIT_OK if report.ok else EXIT_DOMAIN
     if args.action == "star":
         if args.cone_index is None:
-            print("error: star needs --cone-index", file=sys.stderr)
-            return EXIT_INPUT
+            raise _CliInputError("star needs --cone-index")
         if not 0 <= args.cone_index < len(fan.cones):
-            print("error: cone index %d out of range" % args.cone_index, file=sys.stderr)
-            return EXIT_INPUT
+            raise _CliInputError("cone index %d out of range" % args.cone_index)
         survivors = None
         if args.colors is not None:
             try:
@@ -334,13 +326,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (documents.DocumentError, PuiseuxParseError, _CliInputError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except plotting.PlotError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:  # pragma: no cover - wrapped upstream
+    except (
+        documents.DocumentError,
+        PuiseuxParseError,
+        _CliInputError,
+        plotting.PlotError,
+        json.JSONDecodeError,
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -33,10 +33,7 @@ def _proper_face_indices(fan):
         for other in fan.cones:
             if other is cc:
                 continue
-            if other.cone.dim() > cc.cone.dim() and any(
-                f.cone == cc.cone and f.colors == cc.colors
-                for f in colored_faces(fan.space, other)
-            ):
+            if other.cone.dim() > cc.cone.dim() and cc in colored_faces(fan.space, other):
                 out.append(i)
                 break
     return out

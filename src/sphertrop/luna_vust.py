@@ -80,7 +80,12 @@ class SphericalSpace:
 
 @dataclass(frozen=True)
 class ColoredCone:
-    """A cone together with the palette indices of its colors."""
+    """A cone together with the palette indices of its colors.
+
+    Two colored cones are equal when their cones are equal and their color
+    sets are equal, so ``in`` and ``index`` on tuples of them test
+    colored-cone identity.
+    """
 
     cone: Cone
     colors: frozenset = frozenset()
@@ -103,10 +108,7 @@ class ColoredFan:
         object.__setattr__(self, "cones", tuple(self.cones))
 
     def member_index(self, cc):
-        for i, member in enumerate(self.cones):
-            if member.cone == cc.cone and member.colors == cc.colors:
-                return i
-        return None
+        return self.cones.index(cc) if cc in self.cones else None
 
 
 @dataclass(frozen=True)
@@ -192,17 +194,20 @@ def colored_faces(space, cc):
 
     The colors of a face are exactly the selected colors whose vectors lie
     in the face.  Raises :class:`InvalidColoredConeError` when ``cc`` fails
-    validation.
+    validation; callers holding an already validated cone use
+    :func:`_colored_faces`, which lists the faces without re-validating.
     """
     report = validate_colored_cone(space, cc)
     if not report.ok:
         raise InvalidColoredConeError(report)
+    return _colored_faces(space, cc)
+
+
+def _colored_faces(space, cc):
     out = []
     for face in cc.cone.faces():
-        face_colors = frozenset(
-            j for j in cc.colors if face.contains(space.palette_vector(j))
-        )
-        out.append(ColoredCone(face, face_colors))
+        colors = frozenset(j for j in cc.colors if face.contains(space.palette_vector(j)))
+        out.append(ColoredCone(face, colors))
     return out
 
 
@@ -230,10 +235,10 @@ def validate_colored_fan(fan):
     for i, cc in enumerate(fan.cones):
         if not member_ok[i]:
             continue
-        for face in colored_faces(space, cc):
+        for face in _colored_faces(space, cc):
             if not relint_meets(face.cone, space.valuation_cone):
                 continue
-            if fan.member_index(face) is None:
+            if face not in fan.cones:
                 report.add(
                     i,
                     "CF1",
@@ -265,26 +270,21 @@ def is_toroidal(fan):
 def decolor(fan):
     """Strip colors and intersect every cone with the valuation cone.
 
-    The result is closed under faces and toroidal; it is re-validated and
-    the report returned alongside the fan.
+    The result is closed under faces and toroidal: it collects every face
+    of every clipped cone, the clipped cone included, once each (by cone
+    equality).  It is re-validated and the report returned alongside the
+    fan.
     """
     base = validate_colored_fan(fan)
     if not base.ok:
         raise InvalidColoredConeError(base)
     space = fan.space
     collected = []
-
-    def add(cone):
-        for existing in collected:
-            if existing == cone:
-                return
-        collected.append(cone)
-
     for cc in fan.cones:
         clipped = cc.cone.intersect(space.valuation_cone)
-        add(clipped)
         for face in clipped.faces():
-            add(face)
+            if face not in collected:
+                collected.append(face)
     collected.sort(key=lambda c: c.sort_key())
     out = ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in collected))
     return out, validate_colored_fan(out)
@@ -314,7 +314,7 @@ def star(fan, cc, restriction_colors=None):
     if not base.ok:
         raise InvalidColoredConeError(base)
     space = fan.space
-    if fan.member_index(cc) is None:
+    if cc not in fan.cones:
         raise ValueError("the given colored cone is not a member of the fan")
     if cc.colors and restriction_colors is None:
         raise ValueError(
@@ -350,18 +350,12 @@ def star(fan, cc, restriction_colors=None):
 
     members = []
     for member in fan.cones:
-        face_targets = colored_faces(space, member)
-        if not any(
-            f.cone == cc.cone and f.colors == cc.colors for f in face_targets
-        ):
+        if cc not in _colored_faces(space, member):
             continue
         image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
         image_colors = frozenset(index_map[j] for j in member.colors & survivors)
         candidate = ColoredCone(image_cone, image_colors)
-        if all(
-            not (existing.cone == candidate.cone and existing.colors == candidate.colors)
-            for existing in members
-        ):
+        if candidate not in members:
             members.append(candidate)
     members.sort(key=lambda c: c.sort_key())
     return StarResult(projection, kernel, quotient_space, ColoredFan(quotient_space, tuple(members)))

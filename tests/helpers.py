@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from sphertrop.lattice import Cone, primitive, is_zero_vector
+from sphertrop.lattice import Cone, dot, primitive, is_zero_vector
 from sphertrop.puiseux import PuiseuxPoly
 
 EXPONENTS = [Fraction(n, 2) for n in range(-4, 5)]
@@ -94,6 +94,24 @@ def random_cone(rng, dim, max_gens=None):
     if not gens:
         return random_cone(rng, dim, max_gens)
     return Cone(gens, dim)
+
+
+def subset_face_generators(cone):
+    """Generator tuples of all faces, sorted as ``Cone.faces`` sorts them.
+
+    The definitional enumeration: every subset of the facet normals cuts
+    out the face of the generators tight on all of its normals.
+    """
+    normals = cone.inequalities
+    gen_sets = set()
+    for r in range(len(normals) + 1):
+        for subset in itertools.combinations(normals, r):
+            gen_sets.add(
+                tuple(g for g in cone.generators if all(dot(n, g) == 0 for n in subset))
+            )
+    faces = [Cone(gens, cone.ambient_dim) for gens in gen_sets]
+    faces.sort(key=lambda c: c.sort_key())
+    return [f.generators for f in faces]
 
 
 def random_valuation_ray(rng, space):

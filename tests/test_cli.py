@@ -229,6 +229,13 @@ BAD_INPUTS = {
     "curve_on_family_less_space": lambda tmp: _curve_space_with(
         tmp, lambda space: space.update(family=None, family_size=None)
     ),
+    "trop_torus0": lambda tmp: ["trop", "torus0", "(t)"],
+    "trop_gln0": lambda tmp: ["trop", "gln0", "[[t]]"],
+    "trop_space_flag_gln0": lambda tmp: ["trop", "--space", "gln0", "[[t]]"],
+    "fan_builtin_gln0": lambda tmp: _fan_doc_with(tmp, lambda doc: doc.update(space={"builtin": "gln0"})),
+    "fan_builtin_torus0": lambda tmp: _fan_doc_with(
+        tmp, lambda doc: doc.update(space={"builtin": "torus0"})
+    ),
 }
 
 
@@ -237,6 +244,27 @@ def test_bad_input_is_exit_2(capsys, tmp_path, case):
     code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
     assert code == 2
     assert err.startswith("error:")
+
+
+INPUT_ERROR_TEXTS = {
+    "trop_without_arguments": (["trop"], "trop needs a space id and coordinates"),
+    "trop_without_coordinates": (["trop", "torus2"], "trop needs a space id and coordinates"),
+    "trop_unknown_space": (["trop", "torus9x", "(t)"], "\"unknown space id 'torus9x'\""),
+    "trop_torus0": (["trop", "torus0", "(t)"], "\"unknown space id 'torus0'\""),
+    "trop_unbalanced_parenthesis": (["trop", "torus2", "((1,2"], "unbalanced '(' in '((1'"),
+    "star_without_index": (["fan", "star", "--fixture", "gl2_fig1_fan"], "star needs --cone-index"),
+    "star_index_out_of_range": (
+        ["fan", "star", "--fixture", "gl2_fig1_fan", "--cone-index", "99"],
+        "cone index 99 out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERROR_TEXTS))
+def test_input_error_text(capsys, case):
+    argv, message = INPUT_ERROR_TEXTS[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("coords", ["(1/0, 1)", "(1/00*t, 1)", "(t^(1/0), 1)"])

@@ -25,10 +25,11 @@ from sphertrop.lattice import (
     relint_common_point,
     relint_meets,
     saturation_basis,
+    signed_basis,
     smith_normal_form,
 )
 
-from helpers import random_cone
+from helpers import random_cone, subset_face_generators
 
 
 # --- primitive -------------------------------------------------------------
@@ -339,6 +340,32 @@ def test_faces_are_contained_and_closed():
             assert c.contains_cone(f)
 
 
+def parabola_cone(k):
+    """The cone over k points of a parabola: k generators, k facets."""
+    return Cone([(1, i, i * i) for i in range(k)])
+
+
+def test_faces_match_subset_enumeration():
+    rng = random.Random(20)
+    cones = [
+        parabola_cone(13),
+        Cone([(1, 0), (-1, 0), (0, 1)]),  # half-plane
+        Cone([(1, 1, 0), (-1, -1, 0)]),  # line
+        Cone(signed_basis(3), 3),  # whole space
+        Cone([], 2),
+    ]
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        c = random_cone(rng, dim)
+        if rng.random() < 0.3:
+            c = Cone(list(c.generators) + [tuple(-a for a in c.generators[0])], dim)
+        cones.append(c)
+    assert any(not c.is_pointed() for c in cones)
+    for c in cones:
+        assert [f.generators for f in c.faces()] == subset_face_generators(c)
+    assert len(parabola_cone(13).faces()) == 1 + 13 + 13 + 1
+
+
 # --- intersections and equality ----------------------------------------------
 
 
@@ -351,6 +378,50 @@ def test_intersection_example():
 def test_cone_equality_not_representation():
     assert Cone([(1, 0), (0, 1), (1, 1)]) == Cone([(0, 1), (1, 0)])
     assert Cone([(1, 0)]) != Cone([(0, 1)])
+
+
+def test_equality_of_cones_with_lines():
+    plane = Cone(signed_basis(2), 2)
+    other_plane = Cone([(1, 0), (0, 1), (-1, -1)])
+    assert plane.generators != other_plane.generators
+    assert plane == other_plane
+    upper = Cone([(1, 0), (-1, 0), (0, 1)])
+    other_upper = Cone([(1, 0), (-1, 0), (1, 1), (-1, 1)])
+    assert upper.generators != other_upper.generators
+    assert upper == other_upper
+    assert upper != Cone([(0, 1), (0, -1), (1, 0)])
+    quadrant = Cone([(1, 0), (0, 1)])
+    assert quadrant != upper and upper != quadrant
+    assert quadrant != plane and plane != quadrant
+
+
+def _random_cone_with_lines(rng, dim):
+    c = random_cone(rng, dim)
+    if rng.random() < 0.5:
+        g = rng.choice(c.generators)
+        c = Cone(list(c.generators) + [tuple(-a for a in g)], dim)
+    return c
+
+
+def test_equality_and_pointedness_match_containment_and_rank():
+    rng = random.Random(31)
+    equal_with_lines = 0
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        a = _random_cone_with_lines(rng, dim)
+        if rng.random() < 0.5:
+            # the same set, generated differently: add sums of generators
+            extra = [tuple(map(sum, zip(*rng.sample(a.generators, min(2, len(a.generators))))))]
+            b = Cone(list(a.generators) + extra, dim)
+        else:
+            b = _random_cone_with_lines(rng, dim)
+        for c in (a, b):
+            assert c.is_pointed() == (matrix_rank(c.inequalities) == dim)
+        mutual = a.contains_cone(b) and b.contains_cone(a)
+        assert (a == b) == mutual and (b == a) == mutual
+        if mutual and a.generators != b.generators:
+            equal_with_lines += 1
+    assert equal_with_lines > 0
 
 
 def test_feasible_point_witness():

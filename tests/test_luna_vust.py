@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sphertrop import luna_vust
 from sphertrop.catalog import builtin_space, reference_fixture
 from sphertrop.fuzz import MUTATION_KINDS, mutations
 from sphertrop.lattice import Cone
@@ -237,6 +238,31 @@ def test_star_errors():
         star(colored_fan, colored_member)
     result = star(colored_fan, colored_member, restriction_colors=())
     assert result.space.rank == 0
+
+
+def test_member_index_is_colored_cone_equality():
+    fan = fig1_fan()
+    i = fan.member_index(cc([(-1, -1)]))
+    assert i is not None and fan.cones[i].cone.generators == ((-1, -1),)
+    assert fan.member_index(cc([(-2, -2), (-1, -1)])) == i
+    assert fan.member_index(cc([(-1, -1)], {E})) is None
+    assert fan.member_index(cc([(5, 1)])) is None
+
+
+def test_members_are_validated_once(monkeypatch):
+    fan = fig1_fan()
+    seen = []
+
+    def counting(space, colored_cone, member=None):
+        seen.append(colored_cone)
+        return validate_colored_cone(space, colored_cone, member)
+
+    monkeypatch.setattr(luna_vust, "validate_colored_cone", counting)
+    assert validate_colored_fan(fan).ok
+    assert len(seen) == len(fan.cones)
+    seen.clear()
+    star(fan, member_with_gens(fan, ((-1, -1),)))
+    assert len(seen) == len(fan.cones)
 
 
 # --- fuzzer ---------------------------------------------------------------------------
