@@ -81,10 +81,7 @@ _SPACE_ID_RE = re.compile(r"^(torus|gln)(\d+)$")
 
 
 def space_by_id(ident):
-    """Resolve CLI-style space identifiers: ``torus2``, ``gln3``, ``sl2u``.
-
-    An unknown id, size 0 included, raises KeyError.
-    """
+    """Resolve CLI-style space ids ``torus<n>``, ``gln<n>`` (n >= 1), ``sl2u``; else KeyError."""
     if ident in ("sl2u", "sl2_u"):
         return builtin_space("sl2_u")
     m = _SPACE_ID_RE.match(ident)

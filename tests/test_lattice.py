@@ -340,6 +340,14 @@ def test_faces_are_contained_and_closed():
             assert c.contains_cone(f)
 
 
+def _random_cone_with_lines(rng, dim):
+    c = random_cone(rng, dim)
+    if rng.random() < 0.5:
+        g = rng.choice(c.generators)
+        c = Cone(list(c.generators) + [tuple(-a for a in g)], dim)
+    return c
+
+
 def parabola_cone(k):
     """The cone over k points of a parabola: k generators, k facets."""
     return Cone([(1, i, i * i) for i in range(k)])
@@ -354,12 +362,7 @@ def test_faces_match_subset_enumeration():
         Cone(signed_basis(3), 3),  # whole space
         Cone([], 2),
     ]
-    for _ in range(60):
-        dim = rng.randint(1, 3)
-        c = random_cone(rng, dim)
-        if rng.random() < 0.3:
-            c = Cone(list(c.generators) + [tuple(-a for a in c.generators[0])], dim)
-        cones.append(c)
+    cones += [_random_cone_with_lines(rng, rng.randint(1, 3)) for _ in range(60)]
     assert any(not c.is_pointed() for c in cones)
     for c in cones:
         assert [f.generators for f in c.faces()] == subset_face_generators(c)
@@ -393,14 +396,6 @@ def test_equality_of_cones_with_lines():
     quadrant = Cone([(1, 0), (0, 1)])
     assert quadrant != upper and upper != quadrant
     assert quadrant != plane and plane != quadrant
-
-
-def _random_cone_with_lines(rng, dim):
-    c = random_cone(rng, dim)
-    if rng.random() < 0.5:
-        g = rng.choice(c.generators)
-        c = Cone(list(c.generators) + [tuple(-a for a in g)], dim)
-    return c
 
 
 def test_equality_and_pointedness_match_containment_and_rank():
