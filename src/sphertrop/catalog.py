@@ -227,28 +227,29 @@ def nested_minor(matrix, i):
 def character_function(space, index):
     """Evaluator for the index-th character basis function of a catalog space.
 
-    Returns a callable CurveBranch -> PuiseuxFraction realizing the basis
+    Returns a callable CurveBranch -> ``(numerator, denominator)``, a pair
+    of :class:`~sphertrop.puiseux.PuiseuxPoly` whose quotient is the basis
     semi-invariant: x_i for torus(n), y for sl2_u, and the minor ratio
-    h_i / h_{i+1} for gln(n).
+    h_i / h_{i+1} for gln(n).  Its valuation is ``numerator.val() -
+    denominator.val()``.
     """
-    from .puiseux import PuiseuxFraction
+    from .puiseux import PuiseuxPoly
 
     if not 0 <= index < space.rank:
         raise IndexError("character index %d out of range" % index)
+    one = PuiseuxPoly.one()
     if space.family == "torus":
-        return lambda branch: PuiseuxFraction(branch.coords[index])
+        return lambda branch: (branch.coords[index], one)
     if space.family == "sl2_u":
-        return lambda branch: PuiseuxFraction(branch.coords[1])
+        return lambda branch: (branch.coords[1], one)
     if space.family == "gln":
         n = space.family_size
         i = index + 1
 
         def evaluate(branch):
             matrix = branch.matrix(n)
-            numerator = nested_minor(matrix, i)
-            if i == n:
-                return PuiseuxFraction(numerator)
-            return PuiseuxFraction(numerator, nested_minor(matrix, i + 1))
+            denominator = one if i == n else nested_minor(matrix, i + 1)
+            return nested_minor(matrix, i), denominator
 
         return evaluate
     raise ValueError("no symbolic characters for space kind %r" % (space.family,))

@@ -137,15 +137,22 @@ def space_from_doc(doc):
     valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank)
     palette = []
     for entry in _shaped(doc.get("palette", []), list, "'palette'"):
-        palette.append((str(_require(entry, "label")), int_vector_from_doc(_require(entry, "vector"))))
+        label = str(_require(entry, "label"))
+        vector = int_vector_from_doc(_require(entry, "vector"))
+        if len(vector) != rank:
+            raise DocumentError("palette vector %r needs %d entries" % (entry["vector"], rank))
+        palette.append((label, vector))
+    characters = _shaped(doc.get("characters", []), list, "'characters'")
+    if characters and not (
+        all(isinstance(c, str) for c in characters) and len(set(characters)) == len(characters) == rank
+    ):
+        raise DocumentError("'characters' must be empty or %d distinct strings, got %r" % (rank, characters))
     return SphericalSpace(
         name=str(doc.get("name", "space")),
         rank=rank,
         valuation_cone=valuation_cone,
         palette=tuple(palette),
-        character_basis_labels=tuple(
-            _shaped(doc.get("characters", []), list, "'characters'")
-        ),
+        character_basis_labels=tuple(characters),
         family=family,
         family_size=family_size,
     )
@@ -364,7 +371,7 @@ def dumps(doc):
 def load_text(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise DocumentError("not valid JSON: %s" % exc) from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise DocumentError("document needs a top-level 'format' field")

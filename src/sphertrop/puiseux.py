@@ -326,8 +326,8 @@ def parse_puiseux(text):
 
 
 # ---------------------------------------------------------------------------
-# exact division and fractions (the field of fractions keeps the independent
-# elimination in tropicalize exact: finite Puiseux polynomials are no field)
+# exact division (every division of the fraction-free elimination below is
+# exact in the ring of finite Puiseux polynomials)
 
 
 def divexact(p, d):
@@ -359,76 +359,6 @@ def divexact(p, d):
             else:
                 del rem[e + de]
     return PuiseuxPoly._from_accumulator(quotient)
-
-
-class PuiseuxFraction:
-    """Quotient of two finite Puiseux polynomials; exact field arithmetic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = PuiseuxPoly.one()
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if not num.is_zero:
-            shift = min(num.val(), den.val())
-            if shift != 0:
-                num = PuiseuxPoly.t_power(-shift) * num
-                den = PuiseuxPoly.t_power(-shift) * den
-            q = divexact(num, den)
-            if q is not None:
-                num, den = q, PuiseuxPoly.one()
-        else:
-            den = PuiseuxPoly.one()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PuiseuxFraction is immutable")
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def val(self):
-        if self.num.is_zero:
-            return INF
-        return self.num.val() - self.den.val()
-
-    def __add__(self, other):
-        return PuiseuxFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return PuiseuxFraction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other):
-        return PuiseuxFraction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero Puiseux fraction")
-        return PuiseuxFraction(self.num * other.den, self.den * other.num)
-
-    def __neg__(self):
-        return PuiseuxFraction(-self.num, self.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, PuiseuxFraction):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "PuiseuxFraction(%r, %r)" % (
-            format_puiseux(self.num),
-            format_puiseux(self.den),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import primitive
-from .puiseux import INF, PuiseuxFraction, PuiseuxPoly, minor_valuation_profile
+from .puiseux import INF, PuiseuxPoly, minor_valuation_profile
 
 
 class OffSpaceError(ValueError):
@@ -112,44 +112,37 @@ def invariant_factor_valuations(M):
 def cartan_valuations_by_elimination(M):
     """Independent cross-check of :func:`invariant_factor_valuations`.
 
-    Gaussian elimination over the fraction field of Puiseux polynomials,
-    always pivoting on a minimal-valuation entry so that all multipliers are
-    integral at t=0; the pivot valuations are the invariant factors.
+    Division-free Gaussian elimination, always pivoting on an entry of least
+    valuation: each step replaces the remaining block by ``pivot * a_ij -
+    a_i0 * a_0j``.  That block is a nonzero scalar c times the Schur
+    complement over the fraction field, whose least-valuation pivots keep
+    every multiplier integral at t=0, so their valuations are the invariant
+    factors, in increasing order; val(c) is the sum of the earlier pivot
+    valuations.  Unlike the fraction-free elimination behind
+    :func:`invariant_factor_valuations`, it never divides.  Raises
+    :class:`OffSpaceError` on singular matrices.
     """
-    n = len(M)
-    work = [[PuiseuxFraction(M[i][j]) for j in range(n)] for i in range(n)]
+    work = [list(row) for row in M]
     increasing = []
-    for step in range(n):
-        size = n - step
-        best = None
-        where = None
-        for i in range(size):
-            for j in range(size):
-                if work[i][j].is_zero:
-                    continue
-                v = work[i][j].val()
-                if best is None or v < best:
-                    best = v
-                    where = (i, j)
-        if where is None:
+    scale = 0
+    while work:
+        best = INF
+        for i, row in enumerate(work):
+            for j, a in enumerate(row):
+                v = a.val()
+                if v < best:
+                    best, pi, pj = v, i, j
+        if best == INF:
             raise OffSpaceError("matrix is singular: point is off the general linear group")
-        pi, pj = where
-        work[0], work[pi] = work[pi], work[0]
+        increasing.append(best - scale)
+        scale += best
+        top = work.pop(pi)
+        pivot = top.pop(pj)
+        rest = []
         for row in work:
-            row[0], row[pj] = row[pj], row[0]
-        pivot = work[0][0]
-        increasing.append(pivot.val())
-        for i in range(1, size):
-            if not work[i][0].is_zero:
-                f = work[i][0] / pivot
-                work[i] = [a - f * b for a, b in zip(work[i], work[0])]
-        for j in range(1, size):
-            if not work[0][j].is_zero:
-                f = work[0][j] / pivot
-                for i in range(size):
-                    work[i][j] = work[i][j] - f * work[i][0]
-        work = [row[1:] for row in work[1:]]
-    increasing.sort()
+            lead = row.pop(pj)
+            rest.append([pivot * a - lead * b for a, b in zip(row, top)])
+        work = rest
     return tuple(reversed(increasing))
 
 

@@ -1,5 +1,7 @@
+import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -158,6 +160,16 @@ def _curve_space_with(tmp_path, space_edit, branches=None):
     return _curve_doc_with(tmp_path, edit)
 
 
+def _deeply_nested(tmp_path, *command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return [*command, str(path)]
+
+
+def _short_palette_vector(space):
+    space["palette"][0]["vector"] = ["1"]
+
+
 BAD_INPUTS = {
     "member_generator_wrong_dimension": lambda tmp: _fan_doc_with(
         tmp, lambda doc: doc["cones"][-1].update(generators=[["1", "0", "0"]])
@@ -236,6 +248,27 @@ BAD_INPUTS = {
     "fan_builtin_torus0": lambda tmp: _fan_doc_with(
         tmp, lambda doc: doc.update(space={"builtin": "torus0"})
     ),
+    "fan_validate_deeply_nested_json": lambda tmp: _deeply_nested(tmp, "fan", "validate"),
+    "balance_check_deeply_nested_json": lambda tmp: _deeply_nested(tmp, "balance", "check"),
+    "fan_validate_short_palette_vector": lambda tmp: _fan_doc_with(
+        tmp, lambda doc: _short_palette_vector(doc["space"])
+    ),
+    "balance_check_short_palette_vector": lambda tmp: _curve_space_with(tmp, _short_palette_vector),
+    "solve_colors_short_palette_vector": lambda tmp: [
+        "balance", "solve-colors", _curve_space_with(tmp, _short_palette_vector)[-1]
+    ],
+    "plot_short_palette_vector": lambda tmp: [
+        "plot", _curve_space_with(tmp, _short_palette_vector)[-1], "--out", str(tmp / "out.svg")
+    ],
+    "characters_entry_not_string": lambda tmp: _curve_space_with(
+        tmp, lambda space: space.update(characters=[["chi1"], "chi2"])
+    ),
+    "characters_longer_than_rank": lambda tmp: _curve_space_with(
+        tmp, lambda space: space.update(characters=["x1", "x2", "x1"])
+    ),
+    "characters_shorter_than_rank": lambda tmp: _curve_space_with(
+        tmp, lambda space: space.update(characters=["a"])
+    ),
 }
 
 
@@ -278,6 +311,77 @@ def test_trop_arity_mismatch_is_input_error(capsys):
     code, _, err = run(capsys, "trop", "gln2", "[[1]]")
     assert code == 2
     assert err == "error: gln2 takes 4 coordinates, got 1\n"
+
+
+# --- mutated fixture documents ---------------------------------------------------
+
+FUZZ_CASES = 300
+FUZZ_CASE_SECONDS = 2.0
+FUZZ_COMMANDS = (["fan", "validate"], ["fan", "decolor"], ["balance", "check"])
+JSON_VALUES = (None, True, 0, 3, "x", "1", [], {})
+
+
+def _fuzz_bases():
+    """The fan and curve fixtures as documents with their space written out."""
+    docs = [documents.fan_to_doc(reference_fixture("gl2_fig1_fan"))]
+    for name in ("gl2_line_curve", "torus_line_curve"):
+        f = reference_fixture(name)
+        docs.append(documents.curve_to_doc(f.space, f.branches, f.colored_weights, f.expected))
+    return docs
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _paths(item, path + (key,))
+
+
+def _mutated(rng, doc):
+    """A copy of ``doc`` with one random edit, and a description of the edit."""
+    doc = copy.deepcopy(doc)
+    *head, key = rng.choice(list(_paths(doc))[1:])
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    value = parent[key]
+    kinds = ["replace", "wrap"]
+    if isinstance(parent, dict):
+        kinds.append("drop")
+    if isinstance(value, list):
+        kinds += ["truncate", "extend"] if value else ["extend"]
+    kind = rng.choice(kinds)
+    if kind == "drop":
+        del parent[key]
+    elif kind == "truncate":
+        parent[key] = value[: rng.randrange(len(value))]
+    elif kind == "extend":
+        value.append(copy.deepcopy(rng.choice(value)) if value else rng.choice(JSON_VALUES))
+    elif kind == "wrap":
+        parent[key] = [value]
+    else:
+        parent[key] = rng.choice([v for v in JSON_VALUES if type(v) is not type(value)])
+    return doc, "%s at %r" % (kind, [*head, key])
+
+
+def test_mutated_fixture_documents_exit_cleanly(capsys, tmp_path):
+    rng = random.Random(1)
+    bases = _fuzz_bases()
+    path = tmp_path / "mutated.json"
+    for case in range(FUZZ_CASES):
+        doc, edit = _mutated(rng, rng.choice(bases))
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        for command in FUZZ_COMMANDS:
+            try:
+                code = main([*command, str(path)])
+            except Exception as exc:
+                pytest.fail("case %d (%s): %s raised %r" % (case, edit, command, exc))
+            capsys.readouterr()
+            assert code in (0, 1, 2), (case, edit, command, code)
+        elapsed = time.perf_counter() - started
+        assert elapsed < FUZZ_CASE_SECONDS, (case, edit, elapsed)
 
 
 # --- balance -----------------------------------------------------------------------

@@ -105,10 +105,23 @@ def test_invariant_factor_structure():
 
 def test_elimination_oracle_agrees():
     rng = random.Random(24)
-    for _ in range(60):
-        n = rng.randint(1, 4)
+    for n in [rng.randint(1, 4) for _ in range(60)] + [5] * 4:
         M = random_nonsingular_matrix(rng, n)
         assert cartan_valuations_by_elimination(M) == invariant_factor_valuations(M)
+    for _ in range(10):
+        # rank deficient: a repeated row, or a zero column
+        n = rng.randint(2, 4)
+        M = random_nonsingular_matrix(rng, n)
+        i, j = rng.sample(range(n), 2)
+        M[j] = list(M[i])
+        N = random_nonsingular_matrix(rng, n)
+        for row in N:
+            row[j] = zero
+        for singular in (M, N):
+            with pytest.raises(OffSpaceError):
+                cartan_valuations_by_elimination(singular)
+            with pytest.raises(OffSpaceError):
+                invariant_factor_valuations(singular)
 
 
 def test_integral_unit_invariance():
