@@ -269,6 +269,9 @@ BAD_INPUTS = {
     "characters_shorter_than_rank": lambda tmp: _curve_space_with(
         tmp, lambda space: space.update(characters=["a"])
     ),
+    "characters_repeated": lambda tmp: _curve_space_with(
+        tmp, lambda space: space.update(characters=["x1", "x1"])
+    ),
 }
 
 
