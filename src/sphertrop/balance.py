@@ -74,9 +74,6 @@ class BalanceReport:
     quotient_residual: tuple
     per_character: tuple  # (character label, integer residual) pairs
 
-    def per_character_dict(self):
-        return dict(self.per_character)
-
 
 def assemble(space, ray_contributions, colored=()):
     """Merge branch ray contributions and colored weights into a fan.

@@ -10,7 +10,9 @@ space), 2 on input errors (parse or schema problems).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 
 from . import catalog, documents, plotting
@@ -47,18 +49,27 @@ def _emit(doc, args):
         text = documents.dumps(doc)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliInputError(str(exc)) from None
+
+
 def _read_doc(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _CliInputError(str(exc)) from None
+    except UnicodeDecodeError:
+        raise _CliInputError("%s: not UTF-8 text" % path) from None
     return documents.load_text(text)
 
 
@@ -92,31 +103,19 @@ def _input_doc(args):
     return _read_doc(args.input)
 
 
+_ROW_RE = re.compile(r"\[([^][]*)\]")
+_MATRIX_RE = re.compile(r"\[\s*\[[^][]*\](\s*,\s*\[[^][]*\])*\s*\]")
+
+
 def _parse_coordinates(text):
     """A vector ``(p1, p2, ...)`` or matrix ``[[p11, ...], ...]`` of polynomials."""
     stripped = text.strip()
-    if stripped.startswith("[["):
-        if not stripped.endswith("]]"):
-            raise _CliInputError("unterminated matrix literal")
-        body = stripped[1:-1]
-        rows = []
-        depth = 0
-        current = []
-        for ch in body:
-            if ch == "[":
-                depth += 1
-                if depth == 1:
-                    current = []
-                    continue
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    rows.append("".join(current))
-                    continue
-            if depth >= 1:
-                current.append(ch)
+    if re.match(r"\[\s*\[", stripped):
+        if not _MATRIX_RE.fullmatch(stripped):
+            raise _CliInputError("malformed matrix literal: expected [[...], ..., [...]]")
         matrix = [
-            [parse_puiseux(cell) for cell in row.split(",")] for row in rows
+            [parse_puiseux(cell) for cell in row.split(",")]
+            for row in _ROW_RE.findall(stripped)
         ]
         try:
             return CurveBranch.from_matrix(matrix)
@@ -266,8 +265,7 @@ def cmd_plot(args):
             "plot expects a weighted-fan/1, curve/1, or fan/1 document, got %r"
             % doc["format"]
         )
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    _write(args.out, svg)
     return EXIT_OK
 
 
@@ -321,9 +319,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()  # built on the first main() call, not at import
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (

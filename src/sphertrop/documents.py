@@ -67,12 +67,6 @@ def int_vector_from_doc(doc):
     return tuple(integer_from_str(a) for a in doc)
 
 
-def rational_vector_from_doc(doc):
-    if not isinstance(doc, list):
-        raise DocumentError("expected a vector, got %r" % (doc,))
-    return tuple(rational_from_str(a) for a in doc)
-
-
 def _require(doc, key):
     if not isinstance(doc, dict) or key not in doc:
         raise DocumentError("missing field %r" % (key,))

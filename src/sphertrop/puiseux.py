@@ -1,8 +1,11 @@
 """Finite Puiseux polynomials over the rationals with the t-adic valuation.
 
-Field elements are represented by finite sums ``c * t**q`` with rational
-exponents ``q`` and rational coefficients ``c``.  Infinite series are out of
-scope: callers enter truncations and guarantee that the truncation order
+Field elements are finite sums ``c * t**q`` with rational exponents ``q``
+and rational coefficients ``c``.  They are stored on ints: each exponent is
+an int multiple of ``1/den`` and each coefficient an int numerator over one
+common denominator, so sums, products and the exact quotients of the
+fraction-free elimination below run on Python ints.  Infinite series are out
+of scope: callers enter truncations and guarantee that the truncation order
 exceeds every valuation in play.  The valuation of the zero polynomial is
 ``math.inf``, the only non-Fraction value that ever appears.
 """
@@ -11,10 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 
 INF = inf
-_ZERO = Fraction(0)
 
 
 class PuiseuxParseError(ValueError):
@@ -24,32 +26,19 @@ class PuiseuxParseError(ValueError):
 class PuiseuxPoly:
     """Immutable finite Puiseux polynomial.
 
-    Terms are kept as a sorted tuple of ``(exponent, coefficient)`` pairs
-    with nonzero coefficients and strictly increasing exponents.
+    ``_ints`` is a tuple of ``(k, m)`` int pairs sorted by ``k``, one for each
+    term ``m/_scale * t^(k/_den)``, with ``m`` nonzero.  ``_den`` is the least
+    common denominator of the exponents and ``_scale`` the least positive
+    common denominator of the coefficients (both 1 for zero), so the form is
+    canonical: equal polynomials have equal ``(_den, _scale, _ints)``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_scale", "_ints")
 
-    def __init__(self, terms=()):
-        acc = {}
+    def __new__(cls, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        for q, c in items:
-            q = Fraction(q)
-            c = Fraction(c)
-            if c:
-                acc[q] = acc.get(q, Fraction(0)) + c
-        object.__setattr__(
-            self, "_terms", tuple(sorted((q, c) for q, c in acc.items() if c != 0))
-        )
-
-    @classmethod
-    def _from_accumulator(cls, acc):
-        # internal fast path: entries are known to be Fractions already
-        out = object.__new__(cls)
-        object.__setattr__(
-            out, "_terms", tuple(sorted((q, c) for q, c in acc.items() if c != 0))
-        )
-        return out
+        pairs = [(Fraction(q), Fraction(c)) for q, c in items]
+        return _from_ratios([(q.numerator, q.denominator, c.numerator, c.denominator) for q, c in pairs])
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxPoly is immutable")
@@ -72,60 +61,60 @@ class PuiseuxPoly:
 
     @property
     def terms(self):
-        return self._terms
+        """``(exponent, coefficient)`` Fraction pairs, exponents increasing."""
+        den, scale = self._den, self._scale
+        return tuple((Fraction(k, den), Fraction(m, scale)) for k, m in self._ints)
 
     @property
     def is_zero(self):
-        return not self._terms
+        return not self._ints
 
     def val(self):
         """Least exponent with nonzero coefficient; INF for zero."""
-        return self._terms[0][0] if self._terms else INF
+        return Fraction(self._ints[0][0], self._den) if self._ints else INF
 
     def coefficient(self, q):
         q = Fraction(q)
-        for e, c in self._terms:
+        for e, c in self.terms:
             if e == q:
                 return c
         return Fraction(0)
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._ints)
 
     def __eq__(self, other):
         if isinstance(other, PuiseuxPoly):
-            return self._terms == other._terms
+            return (self._ints, self._den, self._scale) == (other._ints, other._den, other._scale)
         if isinstance(other, (int, Fraction)):
             return self == PuiseuxPoly.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._terms)
+        return hash((self._ints, self._den, self._scale))
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for q, c in other._terms:
-            acc[q] = acc.get(q, _ZERO) + c
-        return PuiseuxPoly._from_accumulator(acc)
+        den, left, right = _common_grid(self, other)
+        scale = lcm(self._scale, other._scale)
+        fa, fb = scale // self._scale, scale // other._scale
+        acc = {k: m * fa for k, m in left}
+        for k, m in right:
+            acc[k] = acc.get(k, 0) + m * fb
+        return _canonical(den, scale, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = object.__new__(PuiseuxPoly)
-        object.__setattr__(out, "_terms", tuple((q, -c) for q, c in self._terms))
-        return out
+        return _make(self._den, self._scale, tuple((k, -m) for k, m in self._ints))
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self._terms)
-        for q, c in other._terms:
-            acc[q] = acc.get(q, _ZERO) - c
-        return PuiseuxPoly._from_accumulator(acc)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -134,24 +123,14 @@ class PuiseuxPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return PuiseuxPoly.zero()
-        den, left, right = _on_grid(self, other)
+        den, left, right = _common_grid(self, other)
         acc = {}
-        for qa, ca in left:
-            for qb, cb in right:
-                key = qa + qb
-                prior = acc.get(key)
-                acc[key] = ca * cb if prior is None else prior + ca * cb
-        out = object.__new__(PuiseuxPoly)
-        object.__setattr__(
-            out,
-            "_terms",
-            tuple(
-                (Fraction(k, den), c) for k, c in sorted(acc.items()) if c != 0
-            ),
-        )
-        return out
+        get = acc.get
+        for ka, ma in left:
+            for kb, mb in right:
+                key = ka + kb
+                acc[key] = get(key, 0) + ma * mb
+        return _canonical(den, self._scale * other._scale, acc)
 
     __rmul__ = __mul__
 
@@ -170,14 +149,52 @@ class PuiseuxPoly:
         return "PuiseuxPoly(%r)" % format_puiseux(self)
 
 
-def _on_grid(a, b):
-    """``(den, a_terms, b_terms)`` with exponents as ints on the grid 1/den.
+# the slot setters get past the __setattr__ that keeps instances immutable
+_store_den = PuiseuxPoly._den.__set__
+_store_scale = PuiseuxPoly._scale.__set__
+_store_ints = PuiseuxPoly._ints.__set__
 
-    Int keys hash far faster than Fractions, and den, the lcm of the
-    exponent denominators, stays small.
-    """
-    den = lcm(*(q.denominator for q, _ in a._terms + b._terms))
-    return den, [(int(q * den), c) for q, c in a._terms], [(int(q * den), c) for q, c in b._terms]
+
+def _make(den, scale, ints):
+    out = object.__new__(PuiseuxPoly)
+    _store_den(out, den)
+    _store_scale(out, scale)
+    _store_ints(out, ints)
+    return out
+
+
+def _canonical(den, scale, acc):
+    """The sum of ``m/scale * t^(k/den)`` over ``acc = {k: m}``, reduced."""
+    ints = [item for item in sorted(acc.items()) if item[1]]
+    if not ints:
+        return _make(1, 1, ())
+    g = gcd(den, *[k for k, _ in ints]) if den > 1 else 1
+    h = gcd(scale, *[m for _, m in ints]) if scale > 1 else 1
+    if g > 1 or h > 1:
+        den, scale = den // g, scale // h
+        ints = [(k // g, m // h) for k, m in ints]
+    return _make(den, scale, tuple(ints))
+
+
+def _from_ratios(terms):
+    """The sum of ``c_num/c_den * t^(q_num/q_den)`` over ``(q_num, q_den, c_num, c_den)``."""
+    den = lcm(*(term[1] for term in terms))
+    scale = lcm(*(term[3] for term in terms))
+    acc = {}
+    for q_num, q_den, c_num, c_den in terms:
+        k = q_num * (den // q_den)
+        acc[k] = acc.get(k, 0) + c_num * (scale // c_den)
+    return _canonical(den, scale, acc)
+
+
+def _common_grid(a, b):
+    """``(den, a_ints, b_ints)``: both term lists with exponents over one ``den``."""
+    da, db = a._den, b._den
+    if da == db:
+        return da, a._ints, b._ints
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    return den, [(k * fa, m) for k, m in a._ints], [(k * fb, m) for k, m in b._ints]
 
 
 def _coerce(x):
@@ -293,7 +310,7 @@ def parse_puiseux(text):
         raise PuiseuxParseError("empty input")
     terms = []
     for sign, chunk in _split_terms(stripped):
-        coeff = Fraction(sign)
+        coeff = sign, 1
         tpart = None
         pieces = [piece.strip() for piece in chunk.split("*")]
         if any(not piece for piece in pieces):
@@ -306,23 +323,27 @@ def parse_puiseux(text):
             coeff_text, tpart = pieces
             if not _RATIONAL_RE.match(coeff_text):
                 raise PuiseuxParseError("bad coefficient %r" % coeff_text)
-            coeff *= Fraction(coeff_text)
+            coeff = _ratio(coeff_text, sign)
         else:
             piece = pieces[0]
             if _RATIONAL_RE.match(piece):
-                coeff *= Fraction(piece)
+                coeff = _ratio(piece, sign)
             else:
                 tpart = piece
         if tpart is None:
-            terms.append((Fraction(0), coeff))
+            terms.append((0, 1, *coeff))
             continue
         m = _TPART_RE.match(tpart)
         if not m:
             raise PuiseuxParseError("bad t-power %r" % tpart)
-        exp_text = m.group("plain") or m.group("paren")
-        exponent = Fraction(exp_text) if exp_text is not None else Fraction(1)
-        terms.append((exponent, coeff))
-    return PuiseuxPoly(terms)
+        terms.append((*_ratio(m.group("plain") or m.group("paren") or "1"), *coeff))
+    return _from_ratios(terms)
+
+
+def _ratio(text, sign=1):
+    """``(numerator, denominator)`` of a ``p`` or ``p/q`` literal, times ``sign``."""
+    num, _, den = text.partition("/")
+    return sign * int(num), int(den or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +354,16 @@ def parse_puiseux(text):
 def divexact(p, d):
     """Quotient ``p / d`` when the division is exact, else None.
 
-    Long division from the lowest term, on the exponent grid of ``__mul__``;
-    one dict holds the remainder.
+    Long division from the lowest term, on the int numerators over the
+    common exponent grid; one dict holds the remainder.  A step whose lead
+    coefficient does not divide exactly takes a Fraction quotient, which
+    only rational input needs.
     """
     if d.is_zero:
         raise ZeroDivisionError("division by the zero Puiseux polynomial")
     if p.is_zero:
         return PuiseuxPoly.zero()
-    den, rem, divisor = _on_grid(p, d)
+    den, rem, divisor = _common_grid(p, d)
     rem = dict(rem)
     lead_e, lead_c = divisor[0]
     # an exact quotient's top exponent is the difference of the top exponents
@@ -350,15 +373,21 @@ def divexact(p, d):
         e = min(rem) - lead_e
         if e > top:
             return None
-        c = rem[e + lead_e] / lead_c
-        quotient[Fraction(e, den)] = c
+        r = rem[e + lead_e]
+        c, rest = divmod(r, lead_c)
+        if rest:
+            c = Fraction(r, lead_c)
+        quotient[e] = c
         for de, dc in divisor:
-            left = rem.get(e + de, _ZERO) - c * dc
+            left = rem.get(e + de, 0) - c * dc
             if left:
                 rem[e + de] = left
             else:
                 del rem[e + de]
-    return PuiseuxPoly._from_accumulator(quotient)
+    # p / d is the numerator quotient times d._scale over p._scale
+    lcd = lcm(*(c.denominator for c in quotient.values()))
+    ints = {e: c.numerator * (lcd // c.denominator) * d._scale for e, c in quotient.items()}
+    return _canonical(den, p._scale * lcd, ints)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,26 @@ def random_poly(rng, min_terms=1, max_terms=3, allow_zero=False):
     return p
 
 
+def fraction_terms(pairs):
+    """``{exponent: coefficient}`` of the sum of ``(exponent, coefficient)`` pairs.
+
+    The reference for PuiseuxPoly's int representation: plain Fraction
+    arithmetic on a dict, with zero coefficients dropped.
+    """
+    out = {}
+    for q, c in pairs:
+        out[Fraction(q)] = out.get(Fraction(q), 0) + Fraction(c)
+    return {q: c for q, c in out.items() if c}
+
+
+def fraction_sum(a, b):
+    return fraction_terms([*a.items(), *b.items()])
+
+
+def fraction_product(a, b):
+    return fraction_terms((qa + qb, ca * cb) for qa, ca in a.items() for qb, cb in b.items())
+
+
 def permutation_determinant(M):
     """Leibniz sum over all permutations: the definitional determinant."""
     n = len(M)

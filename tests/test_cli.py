@@ -166,6 +166,12 @@ def _deeply_nested(tmp_path, *command):
     return [*command, str(path)]
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"format": "fan/1"}'.encode("utf-16-le"))
+    return ["fan", "validate", str(path)]
+
+
 def _short_palette_vector(space):
     space["palette"][0]["vector"] = ["1"]
 
@@ -272,6 +278,17 @@ BAD_INPUTS = {
     "characters_repeated": lambda tmp: _curve_space_with(
         tmp, lambda space: space.update(characters=["x1", "x1"])
     ),
+    "fan_validate_not_utf8": _not_utf8,
+    "trop_out_in_missing_directory": lambda tmp: [
+        "trop", "gln2", "[[t,1],[1,t]]", "--out", str(tmp / "missing" / "x.json")
+    ],
+    "plot_out_in_missing_directory": lambda tmp: [
+        "plot", "--fixture", "gl2_fig1_fan", "--out", str(tmp / "missing" / "x.svg")
+    ],
+    "trop_matrix_extra_closing_bracket": lambda tmp: ["trop", "gln2", "[[t,1],[1,t]]]"],
+    "trop_matrix_split_in_two": lambda tmp: ["trop", "gln2", "[[t,1]],[[1,t]]"],
+    "trop_matrix_text_between_rows": lambda tmp: ["trop", "gln2", "[[t,1] x [1,t]]"],
+    "trop_matrix_trailing_comma": lambda tmp: ["trop", "gln2", "[[t,1],[1,t],]]"],
 }
 
 

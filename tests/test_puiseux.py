@@ -1,8 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sphertrop.puiseux import (
     INF,
@@ -17,7 +19,15 @@ from sphertrop.puiseux import (
     val,
 )
 
-from helpers import permutation_determinant, random_matrix, random_poly, random_unit_matrix
+from helpers import (
+    fraction_product,
+    fraction_sum,
+    fraction_terms,
+    permutation_determinant,
+    random_matrix,
+    random_poly,
+    random_unit_matrix,
+)
 
 t = PuiseuxPoly.t_power(1)
 one = PuiseuxPoly.one()
@@ -63,6 +73,89 @@ def test_cancellation_removes_terms():
     assert (p - p).is_zero
     assert (p + (-p)) == zero
     assert not (p - t - one)
+
+
+# --- the int representation against a dict-of-Fraction reference -----------------
+
+# rational coefficients (zero included) on mixed grids: halves, thirds, quarters, sixths
+EXPONENTS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+COEFFICIENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+TERMS = st.lists(st.tuples(EXPONENTS, COEFFICIENTS), max_size=5)
+PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _assert_canonical(p):
+    """Terms as Fraction pairs with increasing exponents; the int form reduced."""
+    exponents = [q for q, _ in p.terms]
+    assert exponents == sorted(set(exponents))
+    assert all(type(q) is Fraction and type(c) is Fraction and c for q, c in p.terms)
+    ks, ms = [k for k, _ in p._ints], [m for _, m in p._ints]
+    assert p._scale > 0 and gcd(p._den, *ks) == 1 and gcd(p._scale, *ms) == 1
+    assert p.val() == (exponents[0] if exponents else INF)
+
+
+@PROPERTIES
+@given(TERMS, TERMS)
+def test_ring_operations_match_fraction_reference(a, b):
+    p, q = PuiseuxPoly(a), PuiseuxPoly(b)
+    ra, rb = fraction_terms(a), fraction_terms(b)
+    neg_rb = {e: -c for e, c in rb.items()}
+    cases = [
+        (p, ra),
+        (p + q, fraction_sum(ra, rb)),
+        (p - q, fraction_sum(ra, neg_rb)),
+        (-q, neg_rb),
+        (p * q, fraction_product(ra, rb)),
+        (p * Fraction(-2, 3) + 1, fraction_sum(fraction_product(ra, {0: Fraction(-2, 3)}), {0: 1})),
+    ]
+    for got, want in cases:
+        assert dict(got.terms) == want
+        _assert_canonical(got)
+
+
+@PROPERTIES
+@given(TERMS, TERMS, EXPONENTS, COEFFICIENTS.filter(bool))
+def test_divexact_inverts_multiplication(a, b, e, c):
+    p, q = PuiseuxPoly(a), PuiseuxPoly(b)
+    assume(q)
+    quotient = divexact(p * q, q)
+    assert quotient == p
+    _assert_canonical(quotient)
+    if len(q.terms) >= 2:
+        # the units are the monomials, so a monomial is no multiple of q
+        assert divexact(p * q + PuiseuxPoly.t_power(e, c), q) is None
+
+
+@PROPERTIES
+@given(TERMS, TERMS, TERMS)
+def test_equal_polynomials_have_one_form(a, b, c):
+    p, q, r = PuiseuxPoly(a), PuiseuxPoly(b), PuiseuxPoly(c)
+    assert ((p * q) - p * q).is_zero
+    routes = [
+        (p * q, q * p),
+        ((p + q) * r, p * r + q * r),
+        (PuiseuxPoly(a[::-1]), p),
+        (PuiseuxPoly(dict(fraction_terms(a))), p),
+    ]
+    for left, right in routes:
+        assert left == right and hash(left) == hash(right)
+
+
+@PROPERTIES
+@given(TERMS)
+def test_format_parse_roundtrip_property(a):
+    p = PuiseuxPoly(a)
+    back = parse_puiseux(format_puiseux(p))
+    assert back == p and hash(back) == hash(p)
+    _assert_canonical(back)
+
+
+def test_exponents_reduce_to_lowest_terms():
+    half = PuiseuxPoly.t_power(Fraction(1, 2))
+    assert PuiseuxPoly.t_power(Fraction(2, 4)) == half == parse_puiseux("t^(2/4)")
+    assert hash(parse_puiseux("t^(2/4)")) == hash(half)
+    assert half * half == t and (half * half)._den == 1
+    assert parse_puiseux("2/4*t^(3/6) + 1/2*t^(1/2)") == half
 
 
 # --- determinants ---------------------------------------------------------------
