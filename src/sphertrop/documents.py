@@ -119,7 +119,7 @@ def space_from_doc(doc):
             raise DocumentError(str(exc)) from None
     _check_format(doc, "space/1")
     rank = _require(doc, "rank")
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise DocumentError("bad rank %r" % (rank,))
     family, family_size = doc.get("family"), doc.get("family_size")
     if family not in (None, "torus", "sl2_u", "gln"):
@@ -236,7 +236,10 @@ def _colored_weights_from_doc(entries, space):
             j = space.color_index(label)
         except KeyError as exc:
             raise DocumentError(str(exc)) from None
-        colored.append((j, integer_from_str(_require(entry, "weight"))))
+        weight = integer_from_str(_require(entry, "weight"))
+        if weight < 0:
+            raise DocumentError("colored weight %d for %s is negative" % (weight, label))
+        colored.append((j, weight))
     return tuple(colored)
 
 

@@ -28,15 +28,12 @@ class MutationError(ValueError):
 
 
 def _proper_face_indices(fan):
-    out = []
-    for i, cc in enumerate(fan.cones):
-        for other in fan.cones:
-            if other is cc:
-                continue
-            if other.cone.dim() > cc.cone.dim() and cc in colored_faces(fan.space, other):
-                out.append(i)
-                break
-    return out
+    """Indices of the members that are a proper colored face of some member."""
+    proper = set()
+    for other in fan.cones:
+        dim = other.cone.dim()
+        proper |= {f for f in colored_faces(fan.space, other) if f.cone.dim() < dim}
+    return [i for i, cc in enumerate(fan.cones) if cc in proper]
 
 
 def mutate(fan, kind, rng):

@@ -550,12 +550,13 @@ class Cone:
     from generators seen before costs no elimination.  The inequality
     description is computed lazily by :func:`dual_description` (itself
     memoised) and kept on the instance.  The zero cone has an empty
-    generator list.  Instances are immutable; equality is set equality.
-    The stored generators are sorted, irredundant and primitive, so for a
-    pointed cone they are exactly its primitive extreme rays: equal tuples
-    mean equal cones, and different tuples mean different cones as soon as
-    either side is pointed.  Only two cones that both contain a line are
-    compared by mutual containment.
+    generator list.  Instances are immutable; equality is set equality:
+    equal generator tuples, else mutual containment.  The stored
+    generators are sorted, irredundant and primitive, so for a pointed
+    cone they are exactly its primitive extreme rays, and the hash of a
+    pointed cone is the hash of its generator tuple; every cone that
+    contains a line hashes to one value per ambient dimension.  Sets and
+    dicts of cones thus compare by containment only on a hash match.
     """
 
     __slots__ = ("ambient_dim", "generators", "_normals")
@@ -619,10 +620,6 @@ class Cone:
             raise ValueError("ambient dimension mismatch")
         return all(self.contains(g) for g in other.generators)
 
-    def dual(self):
-        """The dual cone ``{m : m . x >= 0 on self}`` as a Cone."""
-        return Cone(self.inequalities, self.ambient_dim)
-
     def intersect(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
@@ -655,11 +652,10 @@ class Cone:
             return False
         if self.generators == other.generators:
             return True
-        if self.is_pointed() or other.is_pointed():
-            return False
         return self.contains_cone(other) and other.contains_cone(self)
 
-    __hash__ = None
+    def __hash__(self):
+        return hash(self.generators if self.is_pointed() else self.ambient_dim)
 
     def __repr__(self):
         return "Cone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)

@@ -83,8 +83,8 @@ class ColoredCone:
     """A cone together with the palette indices of its colors.
 
     Two colored cones are equal when their cones are equal and their color
-    sets are equal, so ``in`` and ``index`` on tuples of them test
-    colored-cone identity.
+    sets are equal; they hash by the same pair, so sets and dicts of them
+    test colored-cone identity by one hash lookup.
     """
 
     cone: Cone
@@ -227,6 +227,7 @@ def validate_colored_fan(fan):
         report.add(None, "SPACE", problem)
 
     member_ok = []
+    members = set(fan.cones)
     for i, cc in enumerate(fan.cones):
         sub = validate_colored_cone(space, cc, member=i)
         report.extend(sub)
@@ -238,7 +239,7 @@ def validate_colored_fan(fan):
         for face in _colored_faces(space, cc):
             if not relint_meets(face.cone, space.valuation_cone):
                 continue
-            if face not in fan.cones:
+            if face not in members:
                 report.add(
                     i,
                     "CF1",
@@ -271,22 +272,19 @@ def decolor(fan):
     """Strip colors and intersect every cone with the valuation cone.
 
     The result is closed under faces and toroidal: it collects every face
-    of every clipped cone, the clipped cone included, once each (by cone
-    equality).  It is re-validated and the report returned alongside the
-    fan.
+    of every clipped cone, the clipped cone included, once each (by one
+    hash lookup; of equal faces the first one collected stays).  It is
+    re-validated and the report returned alongside the fan.
     """
     base = validate_colored_fan(fan)
     if not base.ok:
         raise InvalidColoredConeError(base)
     space = fan.space
-    collected = []
-    for cc in fan.cones:
-        clipped = cc.cone.intersect(space.valuation_cone)
-        for face in clipped.faces():
-            if face not in collected:
-                collected.append(face)
-    collected.sort(key=lambda c: c.sort_key())
-    out = ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in collected))
+    collected = dict.fromkeys(
+        face for cc in fan.cones for face in cc.cone.intersect(space.valuation_cone).faces()
+    )
+    faces = sorted(collected, key=lambda c: c.sort_key())
+    out = ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in faces))
     return out, validate_colored_fan(out)
 
 
@@ -348,14 +346,12 @@ def star(fan, cc, restriction_colors=None):
         character_basis_labels=tuple("q%d" % (i + 1) for i in range(m)),
     )
 
-    members = []
+    members = {}
     for member in fan.cones:
         if cc not in _colored_faces(space, member):
             continue
         image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
         image_colors = frozenset(index_map[j] for j in member.colors & survivors)
-        candidate = ColoredCone(image_cone, image_colors)
-        if candidate not in members:
-            members.append(candidate)
-    members.sort(key=lambda c: c.sort_key())
-    return StarResult(projection, kernel, quotient_space, ColoredFan(quotient_space, tuple(members)))
+        members.setdefault(ColoredCone(image_cone, image_colors))
+    quotient_fan = ColoredFan(quotient_space, sorted(members, key=lambda c: c.sort_key()))
+    return StarResult(projection, kernel, quotient_space, quotient_fan)

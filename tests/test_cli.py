@@ -6,7 +6,7 @@ import time
 import pytest
 
 from sphertrop import documents
-from sphertrop.catalog import _load_fixture_doc, reference_fixture, space_by_id
+from sphertrop.catalog import _load_fixture_doc, reference_fixture, sl2u_family, space_by_id
 from sphertrop.cli import main
 from sphertrop.fuzz import mutate
 
@@ -176,6 +176,10 @@ def _short_palette_vector(space):
     space["palette"][0]["vector"] = ["1"]
 
 
+def _negative_colored_weight(doc):
+    doc["colored_weights"][0]["weight"] = "-1"
+
+
 BAD_INPUTS = {
     "member_generator_wrong_dimension": lambda tmp: _fan_doc_with(
         tmp, lambda doc: doc["cones"][-1].update(generators=[["1", "0", "0"]])
@@ -266,6 +270,18 @@ BAD_INPUTS = {
     "plot_short_palette_vector": lambda tmp: [
         "plot", _curve_space_with(tmp, _short_palette_vector)[-1], "--out", str(tmp / "out.svg")
     ],
+    "space_rank_true": lambda tmp: _curve_space_with(
+        tmp,
+        lambda space: space.update(
+            rank=True, family="torus", family_size=None, palette=[],
+            valuation_cone={"generators": [["1"], ["-1"]]}, characters=[],
+        ),
+        branches=[{"coords": ["t"]}],
+    ),
+    "balance_check_negative_colored_weight": lambda tmp: _curve_doc_with(tmp, _negative_colored_weight),
+    "solve_colors_negative_colored_weight": lambda tmp: [
+        "balance", "solve-colors", _curve_doc_with(tmp, _negative_colored_weight)[-1]
+    ],
     "characters_entry_not_string": lambda tmp: _curve_space_with(
         tmp, lambda space: space.update(characters=[["chi1"], "chi2"])
     ),
@@ -342,8 +358,11 @@ JSON_VALUES = (None, True, 0, 3, "x", "1", [], {})
 
 
 def _fuzz_bases():
-    """The fan and curve fixtures as documents with their space written out."""
-    docs = [documents.fan_to_doc(reference_fixture("gl2_fig1_fan"))]
+    """The fan, weighted fan and curve fixtures as documents with their space written out."""
+    docs = [
+        documents.fan_to_doc(reference_fixture("gl2_fig1_fan")),
+        documents.weighted_fan_to_doc(sl2u_family(3, 1)),
+    ]
     for name in ("gl2_line_curve", "torus_line_curve"):
         f = reference_fixture(name)
         docs.append(documents.curve_to_doc(f.space, f.branches, f.colored_weights, f.expected))
@@ -371,6 +390,8 @@ def _mutated(rng, doc):
         kinds.append("drop")
     if isinstance(value, list):
         kinds += ["truncate", "extend"] if value else ["extend"]
+    if isinstance(value, str) and value.isdigit():
+        kinds.append("negate")
     kind = rng.choice(kinds)
     if kind == "drop":
         del parent[key]
@@ -380,6 +401,8 @@ def _mutated(rng, doc):
         value.append(copy.deepcopy(rng.choice(value)) if value else rng.choice(JSON_VALUES))
     elif kind == "wrap":
         parent[key] = [value]
+    elif kind == "negate":
+        parent[key] = "-" + value
     else:
         parent[key] = rng.choice([v for v in JSON_VALUES if type(v) is not type(value)])
     return doc, "%s at %r" % (kind, [*head, key])

@@ -214,8 +214,8 @@ def test_duality_round_trip_random():
     for _ in range(50):
         dim = rng.randint(1, 4)
         c = random_cone(rng, dim)
-        back = c.dual().dual()
-        assert back == c
+        dual = Cone(cone_dual(c), dim)
+        assert Cone(cone_dual(dual), dim) == c
 
 
 def test_generator_and_inequality_descriptions_agree():
@@ -414,6 +414,8 @@ def test_equality_and_pointedness_match_containment_and_rank():
             assert c.is_pointed() == (matrix_rank(c.inequalities) == dim)
         mutual = a.contains_cone(b) and b.contains_cone(a)
         assert (a == b) == mutual and (b == a) == mutual
+        assert not mutual or hash(a) == hash(b)
+        assert (b in {a}) == mutual
         if mutual and a.generators != b.generators:
             equal_with_lines += 1
     assert equal_with_lines > 0

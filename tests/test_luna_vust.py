@@ -247,6 +247,7 @@ def test_member_index_is_colored_cone_equality():
     assert fan.member_index(cc([(-2, -2), (-1, -1)])) == i
     assert fan.member_index(cc([(-1, -1)], {E})) is None
     assert fan.member_index(cc([(5, 1)])) is None
+    assert hash(cc([(-2, -2), (-1, -1)])) == hash(fan.cones[i]) and hash(fan) == hash(fig1_fan())
 
 
 def test_members_are_validated_once(monkeypatch):
