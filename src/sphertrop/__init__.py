@@ -19,8 +19,6 @@ from .catalog import builtin_space, reference_fixture, sl2u_family, space_by_id
 from .lattice import (
     Cone,
     ZeroVectorError,
-    cone_contains,
-    cone_dual,
     primitive,
     quotient_projection,
     relint_meets,
@@ -85,8 +83,6 @@ __all__ = [
     "check_balancing",
     "check_quotient_balancing",
     "colored_faces",
-    "cone_contains",
-    "cone_dual",
     "decolor",
     "determinant",
     "format_puiseux",

@@ -8,9 +8,11 @@ are homogeneous, so they are stored as bare normal vectors ``n`` meaning
 
 Every cone decision runs on one integer Fourier-Motzkin engine
 (:func:`_eliminate`): rational rows are scaled to primitive integer rows
-once, at entry.  :func:`_project` eliminates every variable and so decides
-feasibility; :func:`feasible_point` then back-substitutes a witness, while
-the yes/no tests (:func:`_implied`, :func:`relint_meets`) build none.
+once, at entry, by :func:`_coprime`, whose all-int branch takes no common
+denominator.  :func:`matrix_rank` eliminates fraction-free on such rows.
+:func:`_project` eliminates every variable and so decides feasibility;
+:func:`feasible_point` then back-substitutes a witness, while the yes/no
+tests (:func:`_implied`, :func:`relint_meets`) build none.
 :func:`dual_description` only projects.  Redundant normals and redundant
 generators are both dropped by the same implication test, :func:`_implied`.
 
@@ -20,10 +22,11 @@ pruning (:func:`_irredundant`) on the sorted distinct vectors and the
 dimension; :func:`dual_description` on the primitive directions in input
 order and the dimension; :func:`relint_meets` on the first cone's
 generators and the second cone's normals; :func:`relint_common_point` on
-both generator tuples, the region's normals (or None) and the dimension.
-The memos sit in private helpers below the public names, so every public
-call still happens, and each stores tuples, so no caller can alter a
-cached answer.
+both cones' generators and normals, the region's normals (or None) and the
+dimension; inside it, a separating normal of either cone decides a disjoint
+pair before any elimination.  The memos sit in private helpers below the
+public names, so every public call still happens, and each stores tuples, so
+no caller can alter a cached answer.
 """
 
 from __future__ import annotations
@@ -68,12 +71,15 @@ def _coprime(values):
 
     ``values`` are ints or Fractions; ``p`` has coprime entries (all zero,
     with ``g == 0``, when the input is zero).  This is the one place rational
-    data becomes primitive integer data.
+    data becomes primitive integer data; all-int data skips the common
+    denominator, and data with gcd 1 (or 0) skips the division.
     """
-    den = lcm(*(a.denominator for a in values))
-    ints = [a.numerator * (den // a.denominator) for a in values]
+    ints = values
+    if not all(type(a) is int for a in values):
+        den = lcm(*(a.denominator for a in values))
+        ints = [a.numerator * (den // a.denominator) for a in values]
     g = gcd(*ints)
-    return tuple(a // g for a in ints) if g else tuple(ints), g
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints), g
 
 
 def primitive(v):
@@ -175,8 +181,15 @@ def _row_reduce(rows):
 
 
 def matrix_rank(rows):
-    """Rank over the rationals."""
-    return len(_row_reduce(rows)[1])
+    """Rank over the rationals, by fraction-free elimination on primitive integer rows."""
+    work = [_coprime(row)[0] for row in rows]
+    rank = 0
+    while work := [r for r in work if any(r)]:
+        p = work.pop()
+        c = next(i for i, a in enumerate(p) if a)
+        work = [_coprime([p[c] * a - r[c] * b for a, b in zip(r, p)])[0] if r[c] else r for r in work]
+        rank += 1
+    return rank
 
 
 def solve_linear_system(rows, rhs):
@@ -548,15 +561,16 @@ class Cone:
     by the same exact test that prunes redundant normals, and the pruning
     is memoised on the sorted distinct directions, so rebuilding a cone
     from generators seen before costs no elimination.  The inequality
-    description is computed lazily by :func:`dual_description` (itself
-    memoised) and kept on the instance.  The zero cone has an empty
-    generator list.  Instances are immutable; equality is set equality:
-    equal generator tuples, else mutual containment.  The stored
-    generators are sorted, irredundant and primitive, so for a pointed
-    cone they are exactly its primitive extreme rays, and the hash of a
-    pointed cone is the hash of its generator tuple; every cone that
-    contains a line hashes to one value per ambient dimension.  Sets and
-    dicts of cones thus compare by containment only on a hash match.
+    description is kept on the instance: :meth:`faces` hands each face its
+    own, else it is computed lazily by :func:`dual_description` (itself
+    memoised).  The zero cone has an empty generator list.  Instances are
+    immutable; equality is set equality: equal generator tuples, else
+    mutual containment.  The stored generators are sorted, irredundant and
+    primitive, so for a pointed cone they are exactly its primitive extreme
+    rays, and the hash of a pointed cone is the hash of its generator
+    tuple; every cone that contains a line hashes to one value per ambient
+    dimension.  Sets and dicts of cones thus compare by containment only on
+    a hash match.
     """
 
     __slots__ = ("ambient_dim", "generators", "_normals")
@@ -633,12 +647,21 @@ class Cone:
         A face is the set of generators tight on some set of facet normals,
         so the faces are the closure of ``{generators}`` under taking the
         tight part on one normal at a time (Kaibel and Pfetsch, Comput.
-        Geom. 23, 2002), in O(faces x facets) set intersections.
+        Geom. 23, 2002), in O(faces x facets) set intersections.  Each set
+        keeps ``-n`` for the normals ``n`` tight along the path that first
+        reached it; with the cone's normals, pruned, they cut out its face.
         """
-        gen_sets = {self.generators}
-        for n in self.inequalities:
-            gen_sets |= {tuple(g for g in s if dot(n, g) == 0) for s in gen_sets}
-        faces = [Cone(gens, self.ambient_dim) for gens in gen_sets]
+        normals = self.inequalities
+        tight = {self.generators: ()}
+        for n in normals:
+            negated = tuple(-a for a in n)
+            for s, t in list(tight.items()):
+                tight.setdefault(tuple(g for g in s if dot(n, g) == 0), t + (negated,))
+        faces = []
+        for gens, t in tight.items():
+            face = Cone(gens, self.ambient_dim)
+            object.__setattr__(face, "_normals", _irredundant(normals + t, self.ambient_dim))
+            faces.append(face)
         faces.sort(key=lambda c: c.sort_key())
         return faces
 
@@ -659,25 +682,6 @@ class Cone:
 
     def __repr__(self):
         return "Cone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)
-
-
-# spec-facing functional aliases ------------------------------------------------
-
-
-def cone_contains(cone, x):
-    """Exact membership of a rational point in a closed cone.
-
-    Spec-facing name of :meth:`Cone.contains`, kept as public API.
-    """
-    return cone.contains(x)
-
-
-def cone_dual(cone):
-    """Inequality description of ``cone``: normals of its supporting halfspaces.
-
-    Spec-facing name of :attr:`Cone.inequalities`, kept as public API.
-    """
-    return cone.inequalities
 
 
 def relint_meets(cone_a, cone_b):
@@ -705,18 +709,25 @@ def _relint_meets(gens, normals):
 def relint_common_point(cone_a, cone_b, region=None):
     """Exact rational point in relint(a) & relint(b) (& region), or None.
 
-    Memoised on both generator tuples, the region's normals (None without a
-    region) and the ambient dimension.
+    A normal of one cone positive on one of its own generators and at most 0
+    on every generator of the other separates the relative interiors; such a
+    pair gets None with no elimination.  Memoised on both cones' generators
+    and normals, the region's normals (None without one) and the dimension.
     """
     dim = cone_a.ambient_dim
     if cone_b.ambient_dim != dim or (region is not None and region.ambient_dim != dim):
         raise ValueError("ambient dimension mismatch")
     normals = None if region is None else region.inequalities
-    return _relint_common_point(cone_a.generators, cone_b.generators, normals, dim)
+    a, b = cone_a, cone_b
+    return _relint_common_point(a.generators, a.inequalities, b.generators, b.inequalities, normals, dim)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _relint_common_point(ga, gb, normals, dim):
+def _relint_common_point(ga, na, gb, nb, normals, dim):
+    for own, own_normals, other in ((ga, na, gb), (gb, nb, ga)):
+        for n in own_normals:
+            if any(dot(n, g) > 0 for g in own) and all(dot(n, g) <= 0 for g in other):
+                return None
     ka, kb = len(ga), len(gb)
     nv = ka + kb
     rows = [(e, 1) for e in _unit_vectors(nv)]

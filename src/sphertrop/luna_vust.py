@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .lattice import (
     Cone,
+    dot,
     is_zero_vector,
     quotient_projection,
     relint_common_point,
@@ -99,10 +100,17 @@ class ColoredCone:
 
 @dataclass(frozen=True)
 class ColoredFan:
-    """A finite collection of colored cones over one space."""
+    """A finite collection of colored cones over one space.
+
+    :func:`validate_colored_fan` stores its violations on the fan object,
+    which is immutable, and reads them back on later calls.  The store is per
+    object, not per ``==``: equal fans whose members contain a line can list
+    different generators, and so get different CF2 witnesses.
+    """
 
     space: SphericalSpace
     cones: tuple = ()
+    _violations: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cones", tuple(self.cones))
@@ -219,8 +227,11 @@ def validate_colored_fan(fan):
     (an unsupported face is not a colored cone at all, so requiring it
     would outlaw every fan with colors off the valuation cone).  CF2:
     inside the valuation cone, relative interiors of distinct members are
-    disjoint; violations carry an exact rational witness point.
+    disjoint; violations carry an exact rational witness point.  Each fan
+    object is checked once; every call returns a fresh report.
     """
+    if fan._violations is not None:
+        return ValidationReport(list(fan._violations))
     space = fan.space
     report = ValidationReport()
     for problem in space.invariant_problems():
@@ -260,6 +271,7 @@ def validate_colored_fan(fan):
                     % (i, j, ", ".join(map(str, witness))),
                     witness=witness,
                 )
+    object.__setattr__(fan, "_violations", tuple(report.violations))
     return report
 
 
@@ -346,9 +358,16 @@ def star(fan, cc, restriction_colors=None):
         character_basis_labels=tuple("q%d" % (i + 1) for i in range(m)),
     )
 
+    # cc is a colored face of a member when the member's generators tight on its
+    # normals vanishing on cc span cc, and cc's colors are the member's in cc.
+    sigma = cc.cone
     members = {}
     for member in fan.cones:
-        if cc not in _colored_faces(space, member):
+        normals = [n for n in member.cone.inequalities if all(dot(n, g) == 0 for g in sigma.generators)]
+        tight = [g for g in member.cone.generators if all(dot(n, g) == 0 for n in normals)]
+        if not member.cone.contains_cone(sigma) or Cone(tight, space.rank) != sigma:
+            continue
+        if cc.colors != {j for j in member.colors if sigma.contains(space.palette_vector(j))}:
             continue
         image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
         image_colors = frozenset(index_map[j] for j in member.colors & survivors)

@@ -12,8 +12,8 @@ from sphertrop.lattice import (
     ZeroVectorError,
     _integer_rows,
     _project,
-    cone_contains,
-    cone_dual,
+    _row_reduce,
+    dot,
     dual_description,
     feasible_point,
     leading_positive,
@@ -180,10 +180,10 @@ def test_saturation_example():
 
 def test_cone_contains_examples():
     half = Cone.from_inequalities([(1, -1)], 2)  # first coordinate >= second
-    assert cone_contains(half, (1, 0))
-    assert not cone_contains(half, (0, 1))
-    assert cone_contains(half, (0, 0))
-    assert cone_contains(Cone([(1, 2)]), (0, 0))
+    assert half.contains((1, 0))
+    assert not half.contains((0, 1))
+    assert half.contains((0, 0))
+    assert Cone([(1, 2)]).contains((0, 0))
 
 
 def test_cone_contains_generators():
@@ -196,11 +196,11 @@ def test_cone_contains_generators():
 
 def test_cone_dual_examples():
     orthant = Cone([(1, 0), (0, 1)])
-    assert set(cone_dual(orthant)) == {(1, 0), (0, 1)}
+    assert set(orthant.inequalities) == {(1, 0), (0, 1)}
     line = Cone([(1, 1), (-1, -1)])
-    assert set(cone_dual(line)) == {(1, -1), (-1, 1)}
+    assert set(line.inequalities) == {(1, -1), (-1, 1)}
     zero = Cone([], 2)
-    normals = cone_dual(zero)
+    normals = zero.inequalities
     assert matrix_rank(normals) == 2
     # no nonzero point satisfies them: x_i >= 1 and -x_i >= 1 are both infeasible
     for e in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -214,8 +214,8 @@ def test_duality_round_trip_random():
     for _ in range(50):
         dim = rng.randint(1, 4)
         c = random_cone(rng, dim)
-        dual = Cone(cone_dual(c), dim)
-        assert Cone(cone_dual(dual), dim) == c
+        dual = Cone(c.inequalities, dim)
+        assert Cone(dual.inequalities, dim) == c
 
 
 def test_generator_and_inequality_descriptions_agree():
@@ -225,6 +225,21 @@ def test_generator_and_inequality_descriptions_agree():
         c = random_cone(rng, dim)
         rebuilt = Cone.from_inequalities(c.inequalities, dim)
         assert rebuilt == c
+
+
+def test_matrix_rank_matches_fraction_elimination():
+    rng = random.Random(22)
+    cases = [[], [()], [(0, 0, 0)] * 3, [(0, 0), (2, 4), (Fraction(1, 2), 1)]]
+    for _ in range(200):
+        ncols = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:
+            rows.append([a + b for a, b in zip(rng.choice(rows), rng.choice(rows))])
+        if rng.random() < 0.5:
+            rows = [[a if rng.random() < 0.5 else Fraction(a, rng.randint(1, 6)) for a in r] for r in rows]
+        cases.append([tuple(r) for r in rows])
+    for rows in cases:
+        assert matrix_rank(rows) == len(_row_reduce(rows)[1])
 
 
 def test_dim_and_pointedness():
@@ -267,6 +282,35 @@ def test_relint_common_point_is_exact_witness():
     assert w is not None
     assert all(isinstance(a, Fraction) for a in w)
     assert V.contains(w) and c.contains(w)
+
+
+def _separated(a, b):
+    """The CF2 certificate: a normal of one cone positive on one of its own
+    generators and at most 0 on every generator of the other."""
+    return any(
+        any(dot(n, g) > 0 for g in own.generators) and all(dot(n, g) <= 0 for g in other.generators)
+        for own, other in ((a, b), (b, a))
+        for n in own.inequalities
+    )
+
+
+def test_relint_common_point_certificate_agrees_with_elimination():
+    rng = random.Random(23)
+    eliminate = lattice._relint_common_point.__wrapped__
+    separated = 0
+    for _ in range(200):
+        dim = rng.randint(2, 4)
+        a = _random_cone_with_lines(rng, dim)
+        b = rng.choice([a, rng.choice(a.faces()), _random_cone_with_lines(rng, dim)])
+        region = rng.choice([None, random_cone(rng, dim)])
+        normals = None if region is None else region.inequalities
+        # given no cone normals, the helper has no certificate and runs feasible_point
+        expected = eliminate(a.generators, (), b.generators, (), normals, dim)
+        assert relint_common_point(a, b, region) == expected
+        if _separated(a, b):
+            separated += 1
+            assert expected is None
+    assert separated >= 20
 
 
 def _memos():
@@ -367,6 +411,18 @@ def test_faces_match_subset_enumeration():
     for c in cones:
         assert [f.generators for f in c.faces()] == subset_face_generators(c)
     assert len(parabola_cone(13).faces()) == 1 + 13 + 13 + 1
+
+
+def test_faces_carry_their_inequality_description():
+    rng = random.Random(21)
+    cones = [parabola_cone(6), Cone([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)])]
+    cones += [_random_cone_with_lines(rng, rng.randint(2, 4)) for _ in range(60)]
+    for c in cones:
+        d = c.ambient_dim
+        for face in c.faces():
+            fresh = Cone(face.generators, d)
+            assert Cone.from_inequalities(face.inequalities, d) == fresh
+            assert face.is_pointed() == fresh.is_pointed()
 
 
 # --- intersections and equality ----------------------------------------------

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from sphertrop import luna_vust
+from sphertrop import lattice, luna_vust
 from sphertrop.catalog import builtin_space, reference_fixture
 from sphertrop.fuzz import MUTATION_KINDS, mutations
 from sphertrop.lattice import Cone
@@ -262,8 +263,50 @@ def test_members_are_validated_once(monkeypatch):
     assert validate_colored_fan(fan).ok
     assert len(seen) == len(fan.cones)
     seen.clear()
+    # the fan object keeps its result: star and decolor validate no member
+    # again; decolor validates only the members of the fan it returns
     star(fan, member_with_gens(fan, ((-1, -1),)))
-    assert len(seen) == len(fan.cones)
+    assert seen == []
+    out, _ = decolor(fan)
+    assert seen == list(out.cones)
+    seen.clear()
+    # an equal but fresh object is validated, each member exactly once
+    fresh = ColoredFan(fan.space, fan.cones)
+    assert fresh == fan and fresh is not fan
+    report = validate_colored_fan(fresh)
+    assert report.ok and seen == list(fan.cones)
+    # a caller altering its report does not alter the next one
+    report.violations.append("bogus")
+    assert validate_colored_fan(fresh).violations == []
+    broken = ColoredFan(fan.space, fan.cones + fan.cones[:1])
+    first = validate_colored_fan(broken)
+    expected = list(first.violations)
+    first.violations.clear()
+    assert validate_colored_fan(broken).violations == expected != []
+
+
+def test_orthant_fan_pairs_need_no_elimination(monkeypatch):
+    """The 81 faces of the rank-4 orthant fan, validated cold: each of the
+    3,240 member pairs has a separating member normal, so none runs an LP."""
+    for memo in (f for f in vars(lattice).values() if hasattr(f, "cache_clear")):
+        memo.cache_clear()
+    members = []
+    for signs in itertools.product((-1, 0, 1), repeat=4):
+        gens = [tuple(s if j == i else 0 for j in range(4)) for i, s in enumerate(signs) if s]
+        members.append(ColoredCone(Cone(gens, 4)))
+    calls = {"pairs": 0, "feasible": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(luna_vust, "relint_common_point", counted("pairs", lattice.relint_common_point))
+    monkeypatch.setattr(lattice, "feasible_point", counted("feasible", lattice.feasible_point))
+    assert validate_colored_fan(ColoredFan(builtin_space("torus", 4), tuple(members))).ok
+    assert calls == {"pairs": 3240, "feasible": 0}
 
 
 # --- fuzzer ---------------------------------------------------------------------------
