@@ -4,6 +4,8 @@ The central check: the weighted sum of the primitive rays of a curve's
 tropical fan equals minus the weighted sum of the color vectors, i.e. the
 residual ``sum(m_r * v_r) + sum(m_c * v_c)`` vanishes.  Residuals are
 reported as exact integer vectors so failures always carry a witness.
+Colored weights that balance given rays are found by one integer search
+over a Fourier-Motzkin projection (:func:`lattice.least_integer_point`).
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from dataclasses import dataclass
 
 from .lattice import (
     dot,
+    least_integer_point,
     mat_vec,
-    matrix_rank,
     primitive,
     quotient_projection,
-    solve_linear_system,
     vec_add,
     vec_scale,
 )
@@ -168,42 +169,20 @@ def solve_colored_weights(space, rays):
 
     Returns the solution minimizing the total colored weight, ties broken
     lexicographically by palette index, or None when no solution exists.
-    Linearly independent palettes are solved exactly; dependent ones fall
-    back to exhaustive search bounded by the total ray mass.
+    One search decides every palette: the least integer point of
+    ``w >= 0``, ``sum(w) = total`` and ``sum(w_j * v_j) = target`` over
+    ``(total, w_1, ..., w_r)``.  The Fourier-Motzkin projection bounds the
+    total unless some nonnegative combination of colors is zero; only then
+    is the total capped at the ray mass.
     """
     wf = WeightedRayFan(space, tuple(rays), ())
     target = tuple(-a for a in residual_vector(wf))
     vectors = [v for _, v in space.palette]
     r = len(vectors)
-    if r == 0:
-        return () if all(a == 0 for a in target) else None
-    columns = [[v[i] for v in vectors] for i in range(space.rank)]
-    if matrix_rank(vectors) == r:
-        solution = solve_linear_system(columns, target)
-        if solution is None:
-            return None
-        weights = []
-        for x in solution:
-            if x.denominator != 1 or x < 0:
-                return None
-            weights.append(int(x))
-        return tuple((j, weights[j]) for j in range(r))
-    bound = sum(m * sum(abs(a) for a in v) for v, m in wf.rays)
-    for total in range(bound + 1):
-        for weights in _compositions(total, r):
-            combo = (0,) * space.rank
-            for w, v in zip(weights, vectors):
-                combo = vec_add(combo, vec_scale(w, v))
-            if combo == target:
-                return tuple(enumerate(weights))
-    return None
-
-
-def _compositions(total, parts):
-    """All nonnegative integer tuples of the given length and sum, in lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    rows = [(tuple(int(j == i) for j in range(r + 1)), 0) for i in range(1, r + 1)]
+    equations = [((-1,) + (1,) * r, 0)]
+    equations += [((0, *(v[i] for v in vectors)), t) for i, t in enumerate(target)]
+    rows += equations + [(tuple(-a for a in coeffs), -rhs) for coeffs, rhs in equations]
+    cap = sum(m * sum(abs(a) for a in v) for v, m in wf.rays)
+    point = least_integer_point(rows, r + 1, cap)
+    return None if point is None else tuple(enumerate(point[1:]))

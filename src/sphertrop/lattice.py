@@ -11,8 +11,10 @@ Every cone decision runs on one integer Fourier-Motzkin engine
 once, at entry, by :func:`_coprime`, whose all-int branch takes no common
 denominator.  :func:`matrix_rank` eliminates fraction-free on such rows.
 :func:`_project` eliminates every variable and so decides feasibility;
-:func:`feasible_point` then back-substitutes a witness, while the yes/no
-tests (:func:`_implied`, :func:`relint_meets`) build none.
+:func:`feasible_point` then back-substitutes a rational witness and
+:func:`least_integer_point` searches the same bounds for the least integer
+point, while the yes/no tests (:func:`_implied`, :func:`relint_meets`)
+build none.
 :func:`dual_description` only projects.  Redundant normals and redundant
 generators are both dropped by the same implication test, :func:`_implied`.
 
@@ -22,18 +24,19 @@ pruning (:func:`_irredundant`) on the sorted distinct vectors and the
 dimension; :func:`dual_description` on the primitive directions in input
 order and the dimension; :func:`relint_meets` on the first cone's
 generators and the second cone's normals; :func:`relint_common_point` on
-both cones' generators and normals, the region's normals (or None) and the
-dimension; inside it, a separating normal of either cone decides a disjoint
-pair before any elimination.  The memos sit in private helpers below the
-public names, so every public call still happens, and each stores tuples, so
-no caller can alter a cached answer.
+both cones' generators, the region's normals (or None) and the dimension;
+inside it, a separating normal of either cone, read through the
+:func:`dual_description` memo, decides a disjoint pair before any
+elimination.  The memos sit in private helpers below the public names, so
+every public call still happens, and each stores tuples, so no caller can
+alter a cached answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 # Entries kept by each memo of an exact cone computation (least recently
 # used first out).  The answers are small tuples of ints or Fractions.
@@ -156,30 +159,6 @@ def mat_mul(A, B):
     return [[dot(tuple(row), col) for col in Bt] for row in A]
 
 
-def _row_reduce(rows):
-    """Reduced row echelon form over Fractions, pivots left unscaled.
-
-    Returns ``(work, pivots)``: row ``i`` of ``work`` has its pivot in column
-    ``pivots[i]`` and every other row is zero there.
-    """
-    work = [[Fraction(a) for a in row] for row in rows]
-    pivots = []
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][col]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-    return work, pivots
-
-
 def matrix_rank(rows):
     """Rank over the rationals, by fraction-free elimination on primitive integer rows."""
     work = [_coprime(row)[0] for row in rows]
@@ -190,22 +169,6 @@ def matrix_rank(rows):
         work = [_coprime([p[c] * a - r[c] * b for a, b in zip(r, p)])[0] if r[c] else r for r in work]
         rank += 1
     return rank
-
-
-def solve_linear_system(rows, rhs):
-    """One exact solution of ``rows . x = rhs`` or None if inconsistent.
-
-    Free variables, if any, are set to zero.  Entries may be ints or
-    Fractions; the solution is a tuple of Fractions.
-    """
-    n = len(rows[0]) if rows else 0
-    work, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots and pivots[-1] == n:
-        return None  # a pivot in the right-hand side reads 0 = nonzero
-    x = [Fraction(0)] * n
-    for row, col in zip(work, pivots):
-        x[col] = row[n] / row[col]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +415,17 @@ def _project(rows, nvars):
     return levels
 
 
+def _bounds(pos, neg, point):
+    """``(lo, hi)`` on the next variable once ``point`` fixes those before it.
+
+    Read off one ``(pos, neg)`` level of :func:`_project` as Fractions; a side
+    with no row is None.
+    """
+    lo = max((Fraction(r[0] - dot(r[1:-1], point), r[-1]) for r, _ in pos), default=None)
+    hi = min((Fraction(r[0] - dot(r[1:-1], point), r[-1]) for r, _ in neg), default=None)
+    return lo, hi
+
+
 def feasible_point(ineqs, nvars):
     """Exact witness for a system of inequalities ``a . x >= b``, or None.
 
@@ -461,27 +435,44 @@ def feasible_point(ineqs, nvars):
     the variables last to first, with Imbert's acceleration (a derived row
     combining more than ``eliminated + 1`` original rows is redundant),
     which keeps desk-scale systems small.  The witness is back-substituted
-    first to last, taking each variable midway between its bounds.  Callers
-    that need only a yes/no answer skip the witness: they run the same
-    elimination through :func:`_project`.
+    first to last, taking each variable midway between its bounds (at its
+    one bound, or 0 with none).  Callers that need only a yes/no answer skip
+    the witness: they run the same elimination through :func:`_project`.
     """
     levels = _project(_integer_rows(((rhs, *coeffs) for coeffs, rhs in ineqs), nvars), nvars)
     if levels is None:
         return None
     point = ()
     for pos, neg in reversed(levels):
-        lo = max((Fraction(r[0] - dot(r[1:-1], point), r[-1]) for r, _ in pos), default=None)
-        hi = min((Fraction(r[0] - dot(r[1:-1], point), r[-1]) for r, _ in neg), default=None)
-        if lo is not None and hi is not None:
-            x = (lo + hi) / 2
-        elif lo is not None:
-            x = lo
-        elif hi is not None:
-            x = hi
-        else:
-            x = Fraction(0)
-        point += (x,)
+        bounds = [b for b in _bounds(pos, neg, point) if b is not None]
+        point += (sum(bounds, Fraction(0)) / max(len(bounds), 1),)
     return point
+
+
+def least_integer_point(ineqs, nvars, cap):
+    """Lexicographically least integer point of ``a . x >= b``, or None.
+
+    ``ineqs`` is as for :func:`feasible_point`.  After one projection, a
+    depth-first search tries each variable, first to last, from the ceiling
+    of its lower bound (which must exist) to the floor of its upper bound,
+    or to ``cap`` when it has none, and backtracks from dead prefixes.
+    """
+    levels = _project(_integer_rows(((rhs, *coeffs) for coeffs, rhs in ineqs), nvars), nvars)
+    if levels is None:
+        return None
+    levels.reverse()
+
+    def search(point):
+        if len(point) == nvars:
+            return point
+        lo, hi = _bounds(*levels[len(point)], point)
+        for x in range(ceil(lo), (cap if hi is None else floor(hi)) + 1):
+            found = search(point + (x,))
+            if found is not None:
+                return found
+        return None
+
+    return search(())
 
 
 def _implied(normal, others, dim):
@@ -711,23 +702,27 @@ def relint_common_point(cone_a, cone_b, region=None):
 
     A normal of one cone positive on one of its own generators and at most 0
     on every generator of the other separates the relative interiors; such a
-    pair gets None with no elimination.  Memoised on both cones' generators
-    and normals, the region's normals (None without one) and the dimension.
+    pair gets None with no elimination.  Memoised on both cones' generators,
+    the region's normals (None without one) and the dimension.
     """
     dim = cone_a.ambient_dim
     if cone_b.ambient_dim != dim or (region is not None and region.ambient_dim != dim):
         raise ValueError("ambient dimension mismatch")
     normals = None if region is None else region.inequalities
-    a, b = cone_a, cone_b
-    return _relint_common_point(a.generators, a.inequalities, b.generators, b.inequalities, normals, dim)
+    return _relint_common_point(cone_a.generators, cone_b.generators, normals, dim)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _relint_common_point(ga, na, gb, nb, normals, dim):
-    for own, own_normals, other in ((ga, na, gb), (gb, nb, ga)):
-        for n in own_normals:
+def _relint_common_point(ga, gb, normals, dim):
+    for own, other in ((ga, gb), (gb, ga)):
+        for n in _dual(own, dim):
             if any(dot(n, g) > 0 for g in own) and all(dot(n, g) <= 0 for g in other):
                 return None
+    return _common_point(ga, gb, normals, dim)
+
+
+def _common_point(ga, gb, normals, dim):
+    """The point of :func:`relint_common_point` by one Fourier-Motzkin LP."""
     ka, kb = len(ga), len(gb)
     nv = ka + kb
     rows = [(e, 1) for e in _unit_vectors(nv)]

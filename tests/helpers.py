@@ -62,6 +62,30 @@ def permutation_determinant(M):
     return out
 
 
+def _row_reduce(rows):
+    """Reduced row echelon form over Fractions, pivots left unscaled.
+
+    Returns ``(work, pivots)``: row ``i`` of ``work`` has its pivot in column
+    ``pivots[i]`` and every other row is zero there.
+    """
+    work = [[Fraction(a) for a in row] for row in rows]
+    pivots = []
+    ncols = len(work[0]) if work else 0
+    for col in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pv = work[r][col]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col] / pv
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
 def random_matrix(rng, n, allow_zero=True):
     return [[random_poly(rng, allow_zero=allow_zero) for _ in range(n)] for _ in range(n)]
 

@@ -1,4 +1,5 @@
 import random
+import time
 import warnings
 
 import pytest
@@ -13,6 +14,8 @@ from sphertrop.balance import (
     solve_colored_weights,
 )
 from sphertrop.catalog import builtin_space
+from sphertrop.lattice import Cone, matrix_rank, primitive, signed_basis
+from sphertrop.luna_vust import SphericalSpace
 
 from helpers import random_balanced_fan
 
@@ -183,6 +186,79 @@ def test_solver_solution_balances():
         found += 1
         rebuilt = WeightedRayFan(space, wf.rays, solution)
         assert check_balancing(rebuilt).balanced
+
+
+def _plane_space(palette):
+    """A space of the palette's rank whose valuation cone is everything."""
+    rank = len(palette[0])
+    colors = tuple(("C%d" % (j + 1), tuple(v)) for j, v in enumerate(palette))
+    return SphericalSpace("plane", rank, Cone(signed_basis(rank), rank), colors)
+
+
+def _compositions(total, parts):
+    """All nonnegative integer tuples of the given length and sum, in lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def _reference_weights(palette, rays, limit):
+    """Exhaustive search by total up to ``limit``, each total in lex order."""
+    target = tuple(-sum(m * v[i] for v, m in rays) for i in range(len(palette[0])))
+    for total in range(limit + 1):
+        for weights in _compositions(total, len(palette)):
+            combo = tuple(sum(w * v[i] for w, v in zip(weights, palette)) for i in range(len(target)))
+            if combo == target:
+                return tuple(enumerate(weights))
+    return None
+
+
+def test_solver_matches_exhaustive_search():
+    rng = random.Random(34)
+    seen = {"dependent": 0, "independent": 0, "feasible": 0, "unbounded": 0}
+    for _ in range(240):
+        rank, ncolors = rng.randint(1, 2), rng.randint(1, 3)
+        palette = []
+        while len(palette) < ncolors:
+            v = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if any(v):
+                palette.append(v)
+        if rng.random() < 0.5:
+            combo = tuple(sum(rng.randint(0, 3) * v[i] for v in palette) for i in range(rank))
+            rays = [primitive(tuple(-a for a in combo))] if any(combo) else []
+        else:
+            rays = {}
+            for _ in range(rng.randint(1, 2)):
+                v = tuple(rng.randint(-2, 2) for _ in range(rank))
+                if any(v):
+                    rays[primitive(v)[0]] = rng.randint(1, 3)
+            rays = sorted(rays.items())
+        # the total is bounded exactly when no nonzero nonnegative combination of colors is zero
+        bounded = Cone(palette, rank).is_pointed()
+        mass = sum(m * sum(abs(a) for a in v) for v, m in rays)
+        expected = _reference_weights(palette, rays, 40 if bounded else mass)
+        assert solve_colored_weights(_plane_space(palette), rays) == expected, (palette, rays)
+        seen["independent" if matrix_rank(palette) == len(palette) else "dependent"] += 1
+        seen["feasible"] += expected is not None
+        seen["unbounded"] += not bounded
+    assert min(seen.values()) >= 30, seen
+
+
+def test_solver_total_may_exceed_ray_mass():
+    space = _plane_space(((1, -1), (-1, 2), (1, 2)))
+    assert solve_colored_weights(space, (((-2, 1), 1),)) == ((0, 3), (1, 1), (2, 0))
+
+
+@pytest.mark.parametrize("weight", [120, 10**6])
+@pytest.mark.parametrize("palette", [((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1), (1, 1), (2, 1))])
+def test_solver_infeasible_probes_are_fast(palette, weight):
+    space = _plane_space(palette)
+    started = time.perf_counter()
+    assert solve_colored_weights(space, (((1, 0), weight),)) is None
+    assert time.perf_counter() - started < 0.05
 
 
 # --- scaling and splitting invariances -----------------------------------------------------

@@ -353,7 +353,7 @@ def test_trop_arity_mismatch_is_input_error(capsys):
 
 FUZZ_CASES = 300
 FUZZ_CASE_SECONDS = 2.0
-FUZZ_COMMANDS = (["fan", "validate"], ["fan", "decolor"], ["balance", "check"])
+FUZZ_COMMANDS = (["fan", "validate"], ["fan", "decolor"], ["balance", "check"], ["balance", "solve-colors"])
 JSON_VALUES = (None, True, 0, 3, "x", "1", [], {})
 
 

@@ -12,7 +12,6 @@ from sphertrop.lattice import (
     ZeroVectorError,
     _integer_rows,
     _project,
-    _row_reduce,
     dot,
     dual_description,
     feasible_point,
@@ -29,7 +28,7 @@ from sphertrop.lattice import (
     smith_normal_form,
 )
 
-from helpers import random_cone, subset_face_generators
+from helpers import _row_reduce, random_cone, subset_face_generators
 
 
 # --- primitive -------------------------------------------------------------
@@ -296,7 +295,7 @@ def _separated(a, b):
 
 def test_relint_common_point_certificate_agrees_with_elimination():
     rng = random.Random(23)
-    eliminate = lattice._relint_common_point.__wrapped__
+    eliminate = lattice._common_point
     separated = 0
     for _ in range(200):
         dim = rng.randint(2, 4)
@@ -304,8 +303,8 @@ def test_relint_common_point_certificate_agrees_with_elimination():
         b = rng.choice([a, rng.choice(a.faces()), _random_cone_with_lines(rng, dim)])
         region = rng.choice([None, random_cone(rng, dim)])
         normals = None if region is None else region.inequalities
-        # given no cone normals, the helper has no certificate and runs feasible_point
-        expected = eliminate(a.generators, (), b.generators, (), normals, dim)
+        # the LP alone, with no certificate
+        expected = eliminate(a.generators, b.generators, normals, dim)
         assert relint_common_point(a, b, region) == expected
         if _separated(a, b):
             separated += 1
