@@ -4,8 +4,9 @@ The central check: the weighted sum of the primitive rays of a curve's
 tropical fan equals minus the weighted sum of the color vectors, i.e. the
 residual ``sum(m_r * v_r) + sum(m_c * v_c)`` vanishes.  Residuals are
 reported as exact integer vectors so failures always carry a witness.
-Colored weights that balance given rays are found by one integer search
-over a Fourier-Motzkin projection (:func:`lattice.least_integer_point`).
+Colored weights that balance given rays are found by one lattice test and
+one bounded integer search over a Fourier-Motzkin projection
+(:func:`lattice.least_integer_point`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .lattice import (
     mat_vec,
     primitive,
     quotient_projection,
+    smith_normal_form,
     vec_add,
     vec_scale,
 )
@@ -169,20 +171,29 @@ def solve_colored_weights(space, rays):
 
     Returns the solution minimizing the total colored weight, ties broken
     lexicographically by palette index, or None when no solution exists.
-    One search decides every palette: the least integer point of
-    ``w >= 0``, ``sum(w) = total`` and ``sum(w_j * v_j) = target`` over
-    ``(total, w_1, ..., w_r)``.  The Fourier-Motzkin projection bounds the
-    total unless some nonnegative combination of colors is zero; only then
-    is the total capped at the ray mass.
+    A target outside the lattice the colors span gets None from one Smith
+    form: with ``U V W = D`` for the palette matrix V, some integer w has
+    ``V w = target`` iff each ``(U target)_i`` is a multiple of ``d_i``
+    (zero past the rank).  Otherwise one search decides: the least integer
+    point of ``w >= 0``, ``sum(w) = total`` and ``sum(w_j * v_j) = target``
+    over ``(total, w_1, ..., w_r)``.  Eisenbrand and Weismantel (ACM TALG 16,
+    2020) put a least solution within l1 distance m(2m.Delta + 1)^m of an
+    optimal vertex of the rational relaxation (m the rank, Delta the largest
+    palette entry in absolute value), so the total is searched no further
+    than that past its projected lower bound.
     """
     wf = WeightedRayFan(space, tuple(rays), ())
     target = tuple(-a for a in residual_vector(wf))
     vectors = [v for _, v in space.palette]
-    r = len(vectors)
+    r, m = len(vectors), space.rank
+    U, D, _ = smith_normal_form([[v[i] for v in vectors] for i in range(m)])
+    diagonal = [D[i][i] if i < r else 0 for i in range(m)]
+    if any(s % d if d else s for s, d in zip(mat_vec(U, target), diagonal)):
+        return None
     rows = [(tuple(int(j == i) for j in range(r + 1)), 0) for i in range(1, r + 1)]
     equations = [((-1,) + (1,) * r, 0)]
     equations += [((0, *(v[i] for v in vectors)), t) for i, t in enumerate(target)]
     rows += equations + [(tuple(-a for a in coeffs), -rhs) for coeffs, rhs in equations]
-    cap = sum(m * sum(abs(a) for a in v) for v, m in wf.rays)
-    point = least_integer_point(rows, r + 1, cap)
+    delta = max((abs(a) for v in vectors for a in v), default=0)
+    point = least_integer_point(rows, r + 1, m * (2 * m * delta + 1) ** m)
     return None if point is None else tuple(enumerate(point[1:]))

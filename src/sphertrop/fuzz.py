@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .lattice import Cone, integral_direction, relint_common_point, vec_scale
+from .lattice import Cone, relint_common_point, vec_scale
 from .luna_vust import ColoredCone, ColoredFan, colored_faces
 
 MUTATION_KINDS = (
@@ -64,7 +64,7 @@ def mutate(fan, kind, rng):
         witness = relint_common_point(target.cone, target.cone, space.valuation_cone)
         if witness is None:
             raise MutationError("member has no interior point in the region")
-        ray = Cone([integral_direction(witness)], space.rank)
+        ray = Cone([witness], space.rank)
         extra = ColoredCone(ray, frozenset())
         return ColoredFan(space, fan.cones + (extra,)), {"CF2"}
 

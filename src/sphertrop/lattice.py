@@ -18,14 +18,16 @@ build none.
 :func:`dual_description` only projects.  Redundant normals and redundant
 generators are both dropped by the same implication test, :func:`_implied`.
 
-The four pure exact computations are memoised in bounded LRU caches of
+The five pure exact computations are memoised in bounded LRU caches of
 ``MEMO_SIZE`` entries each, keyed on immutable primitive-integer data:
 pruning (:func:`_irredundant`) on the sorted distinct vectors and the
 dimension; :func:`dual_description` on the primitive directions in input
-order and the dimension; :func:`relint_meets` on the first cone's
-generators and the second cone's normals; :func:`relint_common_point` on
-both cones' generators, the region's normals (or None) and the dimension;
-inside it, a separating normal of either cone, read through the
+order and the dimension; :meth:`Cone.faces` on the cone's generators and
+the dimension, so each face lattice is built once and its faces keep the
+normals they compute; :func:`relint_meets` on the first cone's generators
+and the second cone's normals; :func:`relint_common_point` on both cones'
+generators, the region's normals (or None) and the dimension; inside it, a
+separating normal of either cone, read through the
 :func:`dual_description` memo, decides a disjoint pair before any
 elimination.  The memos sit in private helpers below the public names, so
 every public call still happens, and each stores tuples, so no caller can
@@ -99,14 +101,6 @@ def primitive(v):
     return p, g
 
 
-def integral_direction(v):
-    """Primitive integer vector spanning the same ray as the rational ``v``."""
-    p, g = _coprime(v)
-    if g == 0:
-        raise ZeroVectorError("zero vector has no direction")
-    return p
-
-
 def _directions(vectors, dim):
     """Primitive integer directions of the nonzero rational ``vectors`` in Q^dim."""
     out = []
@@ -175,12 +169,10 @@ def matrix_rank(rows):
 # Smith normal form
 
 
-def _row_op(D, U, Uinv, i, k, q):
-    # R_i -= q * R_k  on D and U; inverse op on columns of Uinv.
+def _row_op(D, U, i, k, q):
+    # R_i -= q * R_k  on D and U.
     D[i] = [a - q * b for a, b in zip(D[i], D[k])]
     U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-    for row in Uinv:
-        row[k] += q * row[i]
 
 
 def _col_op(D, V, j, k, q):
@@ -191,13 +183,11 @@ def _col_op(D, V, j, k, q):
         row[j] -= q * row[k]
 
 
-def _swap_rows(D, U, Uinv, i, k):
+def _swap_rows(D, U, i, k):
     if i == k:
         return
     D[i], D[k] = D[k], D[i]
     U[i], U[k] = U[k], U[i]
-    for row in Uinv:
-        row[i], row[k] = row[k], row[i]
 
 
 def _swap_cols(D, V, j, k):
@@ -210,18 +200,16 @@ def _swap_cols(D, V, j, k):
 
 
 def _snf(A):
-    """Smith normal form with tracked inverse of U.
+    """Smith normal form: (U, D, V) with ``U A V = D``.
 
-    Returns (U, D, V, Uinv) with ``U A V = D``; U, V unimodular; D diagonal
-    with nonnegative entries satisfying d1 | d2 | ... .  Deterministic:
-    pivots are the smallest-magnitude nonzero entries, ties broken in
-    row-major order.
+    U, V unimodular; D diagonal with nonnegative entries satisfying
+    d1 | d2 | ... .  Deterministic: pivots are the smallest-magnitude nonzero
+    entries, ties broken in row-major order.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [[int(a) for a in row] for row in A]
     U = identity_matrix(m)
-    Uinv = identity_matrix(m)
     V = identity_matrix(n)
 
     def pick_pivot(k):
@@ -241,13 +229,13 @@ def _snf(A):
             where = pick_pivot(k)
             if where is None:
                 return False
-            _swap_rows(D, U, Uinv, k, where[0])
+            _swap_rows(D, U, k, where[0])
             _swap_cols(D, V, k, where[1])
             dirty = False
             for i in range(k + 1, m):
                 if D[i][k] != 0:
                     q = D[i][k] // D[k][k]
-                    _row_op(D, U, Uinv, i, k, q)
+                    _row_op(D, U, i, k, q)
                     if D[i][k] != 0:
                         dirty = True
             for j in range(k + 1, n):
@@ -286,9 +274,7 @@ def _snf(A):
         if D[i][i] < 0:
             D[i] = [-a for a in D[i]]
             U[i] = [-a for a in U[i]]
-            for row in Uinv:
-                row[i] = -row[i]
-    return U, D, V, Uinv
+    return U, D, V
 
 
 def smith_normal_form(A):
@@ -297,8 +283,18 @@ def smith_normal_form(A):
     U and V are unimodular; D is diagonal, nonnegative, with each diagonal
     entry dividing the next.  Output is deterministic for fixed input.
     """
-    U, D, V, _ = _snf(A)
-    return U, D, V
+    return _snf(A)
+
+
+def _span_snf(vs, dim):
+    """``(A, U, D, V, rank)``: the Smith form of the matrix A whose columns are ``vs``."""
+    for v in vs:
+        if len(v) != dim:
+            raise ValueError("vector %r does not live in Z^%d" % (v, dim))
+    A = [[int(v[i]) for v in vs] for i in range(dim)]
+    U, D, V = _snf(A)
+    rank = sum(1 for i in range(min(dim, len(vs))) if D[i][i] != 0)
+    return A, U, D, V, rank
 
 
 def quotient_projection(vs, dim):
@@ -309,32 +305,21 @@ def quotient_projection(vs, dim):
     normalized so their first nonzero entry is positive; for fixed input the
     output is deterministic.
     """
-    for v in vs:
-        if len(v) != dim:
-            raise ValueError("vector %r does not live in Z^%d" % (v, dim))
-    if not vs:
-        return [tuple(row) for row in identity_matrix(dim)]
-    cols = [[int(v[i]) for v in vs] for i in range(dim)]
-    U, D, _, _ = _snf(cols)
-    rank = sum(1 for i in range(min(dim, len(vs))) if D[i][i] != 0)
+    _, U, _, _, rank = _span_snf(vs, dim)
     return [leading_positive(tuple(U[i])) for i in range(rank, dim)]
 
 
 def saturation_basis(vs, dim):
     """Lattice basis of the saturation of span(vs) inside Z^dim.
 
-    Basis vectors are primitive with positive leading entry; the list is
-    empty when ``vs`` is empty or all zero.
+    The first ``rank`` columns of U^-1 span it; as U^-1 D = A V, column j is
+    column j of A V divided by d_j.  Basis vectors are primitive with
+    positive leading entry; the list is empty when ``vs`` is empty or all
+    zero.
     """
-    for v in vs:
-        if len(v) != dim:
-            raise ValueError("vector %r does not live in Z^%d" % (v, dim))
-    if not vs:
-        return []
-    cols = [[int(v[i]) for v in vs] for i in range(dim)]
-    _, D, _, Uinv = _snf(cols)
-    rank = sum(1 for i in range(min(dim, len(vs))) if D[i][i] != 0)
-    return [leading_positive(tuple(Uinv[i][j] for i in range(dim))) for j in range(rank)]
+    A, _, D, V, rank = _span_snf(vs, dim)
+    AV = mat_mul(A, V)
+    return [leading_positive(tuple(AV[i][j] // D[j][j] for i in range(dim))) for j in range(rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +434,15 @@ def feasible_point(ineqs, nvars):
     return point
 
 
-def least_integer_point(ineqs, nvars, cap):
+def least_integer_point(ineqs, nvars, slack):
     """Lexicographically least integer point of ``a . x >= b``, or None.
 
     ``ineqs`` is as for :func:`feasible_point`.  After one projection, a
     depth-first search tries each variable, first to last, from the ceiling
     of its lower bound (which must exist) to the floor of its upper bound,
-    or to ``cap`` when it has none, and backtracks from dead prefixes.
+    and backtracks from dead prefixes.  The first variable stops at its
+    lower bound plus ``slack``, which must cover the least integer point;
+    each later variable needs an upper bound once those before it are fixed.
     """
     levels = _project(_integer_rows(((rhs, *coeffs) for coeffs, rhs in ineqs), nvars), nvars)
     if levels is None:
@@ -466,7 +453,9 @@ def least_integer_point(ineqs, nvars, cap):
         if len(point) == nvars:
             return point
         lo, hi = _bounds(*levels[len(point)], point)
-        for x in range(ceil(lo), (cap if hi is None else floor(hi)) + 1):
+        if not point:
+            hi = lo + slack if hi is None else min(hi, lo + slack)
+        for x in range(ceil(lo), floor(hi) + 1):
             found = search(point + (x,))
             if found is not None:
                 return found
@@ -548,20 +537,20 @@ class Cone:
     """Finitely generated rational convex cone.
 
     Stored by primitive integer generators; a generator that is a
-    nonnegative combination of the others is pruned deterministically,
-    by the same exact test that prunes redundant normals, and the pruning
-    is memoised on the sorted distinct directions, so rebuilding a cone
-    from generators seen before costs no elimination.  The inequality
-    description is kept on the instance: :meth:`faces` hands each face its
-    own, else it is computed lazily by :func:`dual_description` (itself
-    memoised).  The zero cone has an empty generator list.  Instances are
-    immutable; equality is set equality: equal generator tuples, else
-    mutual containment.  The stored generators are sorted, irredundant and
-    primitive, so for a pointed cone they are exactly its primitive extreme
-    rays, and the hash of a pointed cone is the hash of its generator
-    tuple; every cone that contains a line hashes to one value per ambient
-    dimension.  Sets and dicts of cones thus compare by containment only on
-    a hash match.
+    nonnegative combination of the others is pruned deterministically, by
+    the same exact test that prunes redundant normals, and the pruning is
+    memoised on the sorted distinct directions, so rebuilding a cone from
+    generators seen before costs no elimination.  The inequality description
+    is kept on the instance: :meth:`from_inequalities` keeps the pruned
+    normals it was given, else it is computed lazily, once per instance, by
+    :func:`dual_description` (itself memoised).  The zero cone has an empty
+    generator list.  Instances are immutable; equality is set equality:
+    equal generator tuples, else mutual containment.  The stored generators
+    are sorted, irredundant and primitive, so for a pointed cone they are
+    exactly its primitive extreme rays, and the hash of a pointed cone is
+    the hash of its generator tuple; every cone that contains a line hashes
+    to one value per ambient dimension.  Sets and dicts of cones thus
+    compare by containment only on a hash match.
     """
 
     __slots__ = ("ambient_dim", "generators", "_normals")
@@ -638,23 +627,13 @@ class Cone:
         A face is the set of generators tight on some set of facet normals,
         so the faces are the closure of ``{generators}`` under taking the
         tight part on one normal at a time (Kaibel and Pfetsch, Comput.
-        Geom. 23, 2002), in O(faces x facets) set intersections.  Each set
-        keeps ``-n`` for the normals ``n`` tight along the path that first
-        reached it; with the cone's normals, pruned, they cut out its face.
+        Geom. 23, 2002), in O(faces x facets) set intersections.  The
+        normals are those :func:`dual_description` gives the generators, so
+        the list, sorted by :meth:`sort_key`, depends on the generators alone
+        and is memoised on them and the dimension: each face lattice is
+        computed once, and each call returns a fresh list.
         """
-        normals = self.inequalities
-        tight = {self.generators: ()}
-        for n in normals:
-            negated = tuple(-a for a in n)
-            for s, t in list(tight.items()):
-                tight.setdefault(tuple(g for g in s if dot(n, g) == 0), t + (negated,))
-        faces = []
-        for gens, t in tight.items():
-            face = Cone(gens, self.ambient_dim)
-            object.__setattr__(face, "_normals", _irredundant(normals + t, self.ambient_dim))
-            faces.append(face)
-        faces.sort(key=lambda c: c.sort_key())
-        return faces
+        return list(_faces(self.generators, self.ambient_dim))
 
     def sort_key(self):
         return (self.dim(), self.generators)
@@ -673,6 +652,15 @@ class Cone:
 
     def __repr__(self):
         return "Cone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _faces(gens, dim):
+    tight = dict.fromkeys((gens,))
+    for n in _dual(gens, dim):
+        for s in list(tight):
+            tight.setdefault(tuple(g for g in s if dot(n, g) == 0))
+    return tuple(sorted((Cone(s, dim) for s in tight), key=Cone.sort_key))
 
 
 def relint_meets(cone_a, cone_b):

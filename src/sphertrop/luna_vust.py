@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .lattice import (
     Cone,
-    dot,
     is_zero_vector,
     quotient_projection,
     relint_common_point,
@@ -49,9 +48,6 @@ class SphericalSpace:
                 "character_basis_labels",
                 tuple("chi%d" % (i + 1) for i in range(self.rank)),
             )
-
-    def palette_labels(self):
-        return tuple(label for label, _ in self.palette)
 
     def palette_vector(self, j):
         if not 0 <= j < len(self.palette):
@@ -313,7 +309,8 @@ class StarResult:
 def star(fan, cc, restriction_colors=None):
     """Quotient fan of the orbit closure attached to a member colored cone.
 
-    Members of ``fan`` having ``cc`` as a colored face are mapped through the
+    Members of ``fan`` having ``cc`` as a colored face (``cc`` is among the
+    member's colored faces, the listing CF1 reads) are mapped through the
     projection killing the saturated span of ``cc``'s cone.  Colors that
     survive on the orbit closure cannot be derived combinatorially, so they
     are the explicit parameter ``restriction_colors`` (palette indices);
@@ -358,16 +355,9 @@ def star(fan, cc, restriction_colors=None):
         character_basis_labels=tuple("q%d" % (i + 1) for i in range(m)),
     )
 
-    # cc is a colored face of a member when the member's generators tight on its
-    # normals vanishing on cc span cc, and cc's colors are the member's in cc.
-    sigma = cc.cone
     members = {}
     for member in fan.cones:
-        normals = [n for n in member.cone.inequalities if all(dot(n, g) == 0 for g in sigma.generators)]
-        tight = [g for g in member.cone.generators if all(dot(n, g) == 0 for n in normals)]
-        if not member.cone.contains_cone(sigma) or Cone(tight, space.rank) != sigma:
-            continue
-        if cc.colors != {j for j in member.colors if sigma.contains(space.palette_vector(j))}:
+        if cc not in _colored_faces(space, member):
             continue
         image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
         image_colors = frozenset(index_map[j] for j in member.colors & survivors)

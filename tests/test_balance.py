@@ -238,9 +238,16 @@ def test_solver_matches_exhaustive_search():
             rays = sorted(rays.items())
         # the total is bounded exactly when no nonzero nonnegative combination of colors is zero
         bounded = Cone(palette, rank).is_pointed()
-        mass = sum(m * sum(abs(a) for a in v) for v, m in rays)
-        expected = _reference_weights(palette, rays, 40 if bounded else mass)
-        assert solve_colored_weights(_plane_space(palette), rays) == expected, (palette, rays)
+        expected = _reference_weights(palette, rays, 40)
+        solution = solve_colored_weights(_plane_space(palette), rays)
+        if expected is not None or solution is None:
+            assert solution == expected, (palette, rays)
+        else:
+            # a least solution the reference cannot reach: it must balance
+            weights = [w for _, w in solution]
+            target = tuple(-sum(m * v[i] for v, m in rays) for i in range(rank))
+            combo = tuple(sum(w * v[i] for w, v in zip(weights, palette)) for i in range(rank))
+            assert min(weights) >= 0 and sum(weights) > 40 and combo == target, (palette, rays)
         seen["independent" if matrix_rank(palette) == len(palette) else "dependent"] += 1
         seen["feasible"] += expected is not None
         seen["unbounded"] += not bounded
@@ -250,6 +257,28 @@ def test_solver_matches_exhaustive_search():
 def test_solver_total_may_exceed_ray_mass():
     space = _plane_space(((1, -1), (-1, 2), (1, 2)))
     assert solve_colored_weights(space, (((-2, 1), 1),)) == ((0, 3), (1, 1), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "palette, rays, expected",
+    [
+        (((-2,), (1,)), (((1,), 1),), ((0, 1), (1, 1))),
+        (((-1,), (2,), (-2,)), (((-1,), 1),), ((0, 1), (1, 1), (2, 0))),
+    ],
+)
+def test_solver_total_may_exceed_ray_mass_when_unbounded(palette, rays, expected):
+    # some nonnegative combination of colors is zero, so the projection leaves the total unbounded
+    assert solve_colored_weights(_plane_space(palette), rays) == expected
+
+
+@pytest.mark.parametrize("palette", [((2, 0), (4, 0)), ((2, 0, 0), (4, 0, 0), (0, 0, 4))])
+def test_solver_lattice_test_answers_parity_blocked_palette_at_once(palette):
+    # 2 w_1 + 4 w_2 = 10^6 + 1 has rational but no integer solutions
+    space = _plane_space(palette)
+    ray = (-1,) + (0,) * (len(palette[0]) - 1)
+    started = time.perf_counter()
+    assert solve_colored_weights(space, ((ray, 10**6 + 1),)) is None
+    assert time.perf_counter() - started < 0.05
 
 
 @pytest.mark.parametrize("weight", [120, 10**6])

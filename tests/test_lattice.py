@@ -424,6 +424,29 @@ def test_faces_carry_their_inequality_description():
             assert face.is_pointed() == fresh.is_pointed()
 
 
+def test_faces_depend_only_on_the_generators():
+    # The quadrant in the plane z = 0, cut out by normals that differ from
+    # those dual_description gives its generators.
+    cut = Cone.from_inequalities([(1, 0, 1), (0, 1, 0), (0, 0, 1), (0, 0, -1)], 3)
+    built = Cone([(1, 0, 0), (0, 1, 0)], 3)
+    assert cut.inequalities != tuple(dual_description(built.generators, 3))
+    for first, second in ((cut, built), (built, cut)):
+        lattice._faces.cache_clear()
+        listed = [(f.generators, f.inequalities) for f in first.faces()]
+        assert [(f.generators, f.inequalities) for f in second.faces()] == listed
+    assert [g for g, _ in listed] == [(), ((0, 1, 0),), ((1, 0, 0),), ((0, 1, 0), (1, 0, 0))]
+
+
+def test_faces_returns_a_fresh_list():
+    c = parabola_cone(5)
+    first = c.faces()
+    expected = list(first)
+    first.pop()
+    first.append(Cone([], 3))
+    assert c.faces() == expected
+    assert c.faces() is not c.faces()
+
+
 # --- intersections and equality ----------------------------------------------
 
 

@@ -6,11 +6,12 @@ import pytest
 from sphertrop import lattice, luna_vust
 from sphertrop.catalog import builtin_space, reference_fixture
 from sphertrop.fuzz import MUTATION_KINDS, mutations
-from sphertrop.lattice import Cone
+from sphertrop.lattice import Cone, signed_basis
 from sphertrop.luna_vust import (
     ColoredCone,
     ColoredFan,
     InvalidColoredConeError,
+    SphericalSpace,
     colored_faces,
     decolor,
     is_toroidal,
@@ -239,6 +240,20 @@ def test_star_errors():
         star(colored_fan, colored_member)
     result = star(colored_fan, colored_member, restriction_colors=())
     assert result.space.rank == 0
+
+
+def test_star_skips_a_member_whose_face_has_other_colors(monkeypatch):
+    # The quadrant colored by C = (1, 0) has the colored face ((1, 0), {C}),
+    # not the member ((1, 0), {}).  A valid fan cannot hold both (CF1 asks
+    # for the colored face, which then shares the ray's relative interior),
+    # so validation is skipped to test the member selection alone.
+    plane = SphericalSpace("plane", 2, Cone(signed_basis(2), 2), (("C", (1, 0)),))
+    ray = cc([(1, 0)])
+    fan = ColoredFan(plane, (cc([]), ray, cc([(0, 1)]), cc([(1, 0), (0, 1)], {0})))
+    assert validate_colored_fan(fan).axioms() == {"CF1"}
+    monkeypatch.setattr(luna_vust, "validate_colored_fan", lambda fan: luna_vust.ValidationReport())
+    result = star(fan, ray)
+    assert [(m.cone.generators, m.colors) for m in result.fan.cones] == [((), frozenset())]
 
 
 def test_member_index_is_colored_cone_equality():
