@@ -549,11 +549,12 @@ class Cone:
     are sorted, irredundant and primitive, so for a pointed cone they are
     exactly its primitive extreme rays, and the hash of a pointed cone is
     the hash of its generator tuple; every cone that contains a line hashes
-    to one value per ambient dimension.  Sets and dicts of cones thus
+    to one value per ambient dimension.  The hash is computed on the first
+    ``hash()`` and kept on the instance.  Sets and dicts of cones thus
     compare by containment only on a hash match.
     """
 
-    __slots__ = ("ambient_dim", "generators", "_normals")
+    __slots__ = ("ambient_dim", "generators", "_normals", "_hash")
 
     def __init__(self, generators, ambient_dim=None):
         gens = list(generators)
@@ -566,6 +567,7 @@ class Cone:
             self, "generators", _irredundant(_directions(gens, ambient_dim), ambient_dim)
         )
         object.__setattr__(self, "_normals", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
@@ -648,7 +650,10 @@ class Cone:
         return self.contains_cone(other) and other.contains_cone(self)
 
     def __hash__(self):
-        return hash(self.generators if self.is_pointed() else self.ambient_dim)
+        if self._hash is None:
+            key = self.generators if self.is_pointed() else self.ambient_dim
+            object.__setattr__(self, "_hash", hash(key))
+        return self._hash
 
     def __repr__(self):
         return "Cone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)

@@ -246,54 +246,19 @@ def format_puiseux(p):
     return " ".join(parts)
 
 
-# denominators need a nonzero digit
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
-_TPART_RE = re.compile(r"^t(\^(?P<plain>[+-]?\d+)|\^\((?P<paren>[+-]?\d+(/0*[1-9]\d*)?)\))?$")
+# The grammar of docs/formats.md, whitespace stripped at both ends.  Every
+# repeated part must start with a sign, so a failed match backtracks through
+# each character a bounded number of times: the match is linear in the text.
+_RAT = r"\d+(?:/0*[1-9]\d*)?"  # denominators need a nonzero digit
+_T = r"t(?:\^(?:[+-]?\d+|\([+-]?%s\)))?" % _RAT
+_TERM = r"(?:%s(?:\s*\*\s*%s)?|%s)" % (_RAT, _T, _T)
+_WHOLE_RE = re.compile(r"(?:[+-]\s*)?%s(?:\s*[+-]\s*%s)*" % (_TERM, _TERM))
+# On text _WHOLE_RE accepts, one match per term: sign, coefficient numerator
+# and denominator, ``t``, exponent numerator and denominator.
+_TERM_RE = re.compile(
+    r"\s*(?:([+-])\s*)?(?=[\dt])(?:(\d+)(?:/(\d+))?)?(?:\s*\*\s*)?(t?)(?:\^\(?([+-]?\d+)(?:/(\d+))?\)?)?"
+)
 _ZERO_DENOMINATOR_RE = re.compile(r"/0+(?!\d)")
-
-
-def _split_terms(text):
-    """Split on top-level + and -, keeping signs; parens protect exponents."""
-    chunks = []
-    sign = 1
-    pending = False
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise PuiseuxParseError("unbalanced ')' in %r" % text)
-        if ch in "+-" and depth == 0 and not _sign_binds_right(current):
-            if any(c.strip() for c in current):
-                chunks.append((sign, "".join(current).strip()))
-                current = []
-                sign = 1
-                pending = False
-            elif pending:
-                raise PuiseuxParseError("consecutive signs in %r" % text)
-            sign *= -1 if ch == "-" else 1
-            pending = True
-            continue
-        current.append(ch)
-    if depth != 0:
-        raise PuiseuxParseError("unbalanced '(' in %r" % text)
-    if any(c.strip() for c in current):
-        chunks.append((sign, "".join(current).strip()))
-    elif pending or not chunks:
-        raise PuiseuxParseError("dangling sign or empty input in %r" % text)
-    return chunks
-
-
-def _sign_binds_right(current):
-    # A sign directly after '^' belongs to an exponent (`t^-1`), not a term split.
-    for ch in reversed(current):
-        if ch.isspace():
-            continue
-        return ch == "^"
-    return False
 
 
 def parse_puiseux(text):
@@ -301,49 +266,29 @@ def parse_puiseux(text):
 
     Accepts sums of terms ``c``, ``c*t^e``, ``t^e``, ``t``, with ``c`` a
     rational ``p/q`` and ``e`` an integer or a parenthesized rational;
-    ``t^-1`` is tolerated as a shorthand for ``t^(-1)``.
+    ``t^-1`` is tolerated as a shorthand for ``t^(-1)``.  The grammar is
+    the one in ``docs/formats.md``: one regular-expression match checks the
+    whole text and one ``findall`` reads its terms, both linear in the
+    length of the text.  Only rejected text is searched again, for the
+    error message.
     """
     if not isinstance(text, str):
         raise PuiseuxParseError("expected a string, got %r" % (text,))
     stripped = text.strip()
-    if not stripped:
-        raise PuiseuxParseError("empty input")
+    if not _WHOLE_RE.fullmatch(stripped):
+        if not stripped:
+            raise PuiseuxParseError("empty input")
+        if _ZERO_DENOMINATOR_RE.search(stripped):
+            raise PuiseuxParseError("zero denominator in %r" % stripped)
+        if stripped.count("(") > stripped.count(")"):
+            raise PuiseuxParseError("unbalanced '(' in %r" % stripped)
+        raise PuiseuxParseError("malformed Puiseux polynomial %r" % stripped)
     terms = []
-    for sign, chunk in _split_terms(stripped):
-        coeff = sign, 1
-        tpart = None
-        pieces = [piece.strip() for piece in chunk.split("*")]
-        if any(not piece for piece in pieces):
-            raise PuiseuxParseError("empty factor in term %r" % chunk)
-        if len(pieces) > 2:
-            raise PuiseuxParseError("too many factors in term %r" % chunk)
-        if _ZERO_DENOMINATOR_RE.search(chunk):
-            raise PuiseuxParseError("zero denominator in term %r" % chunk)
-        if len(pieces) == 2:
-            coeff_text, tpart = pieces
-            if not _RATIONAL_RE.match(coeff_text):
-                raise PuiseuxParseError("bad coefficient %r" % coeff_text)
-            coeff = _ratio(coeff_text, sign)
-        else:
-            piece = pieces[0]
-            if _RATIONAL_RE.match(piece):
-                coeff = _ratio(piece, sign)
-            else:
-                tpart = piece
-        if tpart is None:
-            terms.append((0, 1, *coeff))
-            continue
-        m = _TPART_RE.match(tpart)
-        if not m:
-            raise PuiseuxParseError("bad t-power %r" % tpart)
-        terms.append((*_ratio(m.group("plain") or m.group("paren") or "1"), *coeff))
+    for sign, c_num, c_den, t, q_num, q_den in _TERM_RE.findall(stripped):
+        c = int(c_num or 1)
+        q = int(q_num) if q_num else 1 if t else 0
+        terms.append((q, int(q_den or 1), -c if sign == "-" else c, int(c_den or 1)))
     return _from_ratios(terms)
-
-
-def _ratio(text, sign=1):
-    """``(numerator, denominator)`` of a ``p`` or ``p/q`` literal, times ``sign``."""
-    num, _, den = text.partition("/")
-    return sign * int(num), int(den or 1)
 
 
 # ---------------------------------------------------------------------------

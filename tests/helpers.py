@@ -1,10 +1,11 @@
 """Shared random generators for the test suite (all seeded by callers)."""
 
 import itertools
+import re
 from fractions import Fraction
 
 from sphertrop.lattice import Cone, dot, primitive, is_zero_vector
-from sphertrop.puiseux import PuiseuxPoly
+from sphertrop.puiseux import PuiseuxParseError, PuiseuxPoly, _from_ratios
 
 EXPONENTS = [Fraction(n, 2) for n in range(-4, 5)]
 
@@ -84,6 +85,111 @@ def _row_reduce(rows):
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         pivots.append(col)
     return work, pivots
+
+
+# --- the reference Puiseux text parser --------------------------------------
+
+# denominators need a nonzero digit
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+_TPART_RE = re.compile(r"^t(\^(?P<plain>[+-]?\d+)|\^\((?P<paren>[+-]?\d+(/0*[1-9]\d*)?)\))?$")
+_ZERO_DENOMINATOR_RE = re.compile(r"/0+(?!\d)")
+
+
+def _split_terms(text):
+    """Split on top-level + and -, keeping signs; parens protect exponents."""
+    chunks = []
+    sign = 1
+    pending = False
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise PuiseuxParseError("unbalanced ')' in %r" % text)
+        if ch in "+-" and depth == 0 and not _sign_binds_right(current):
+            if any(c.strip() for c in current):
+                chunks.append((sign, "".join(current).strip()))
+                current = []
+                sign = 1
+                pending = False
+            elif pending:
+                raise PuiseuxParseError("consecutive signs in %r" % text)
+            sign *= -1 if ch == "-" else 1
+            pending = True
+            continue
+        current.append(ch)
+    if depth != 0:
+        raise PuiseuxParseError("unbalanced '(' in %r" % text)
+    if any(c.strip() for c in current):
+        chunks.append((sign, "".join(current).strip()))
+    elif pending or not chunks:
+        raise PuiseuxParseError("dangling sign or empty input in %r" % text)
+    return chunks
+
+
+def _sign_binds_right(current):
+    # A sign directly after '^' belongs to an exponent (`t^-1`), not a term split.
+    for ch in reversed(current):
+        if ch.isspace():
+            continue
+        return ch == "^"
+    return False
+
+
+def reference_parse_puiseux(text):
+    """Parse the text format for Puiseux polynomials, one character at a time.
+
+    The term splitter ``parse_puiseux`` had before it became one
+    regular-expression match; kept as the reference it is compared with.
+
+    Accepts sums of terms ``c``, ``c*t^e``, ``t^e``, ``t``, with ``c`` a
+    rational ``p/q`` and ``e`` an integer or a parenthesized rational;
+    ``t^-1`` is tolerated as a shorthand for ``t^(-1)``.
+    """
+    if not isinstance(text, str):
+        raise PuiseuxParseError("expected a string, got %r" % (text,))
+    stripped = text.strip()
+    if not stripped:
+        raise PuiseuxParseError("empty input")
+    terms = []
+    for sign, chunk in _split_terms(stripped):
+        coeff = sign, 1
+        tpart = None
+        pieces = [piece.strip() for piece in chunk.split("*")]
+        if any(not piece for piece in pieces):
+            raise PuiseuxParseError("empty factor in term %r" % chunk)
+        if len(pieces) > 2:
+            raise PuiseuxParseError("too many factors in term %r" % chunk)
+        if _ZERO_DENOMINATOR_RE.search(chunk):
+            raise PuiseuxParseError("zero denominator in term %r" % chunk)
+        if len(pieces) == 2:
+            coeff_text, tpart = pieces
+            if not _RATIONAL_RE.match(coeff_text):
+                raise PuiseuxParseError("bad coefficient %r" % coeff_text)
+            coeff = _ratio(coeff_text, sign)
+        else:
+            piece = pieces[0]
+            if _RATIONAL_RE.match(piece):
+                coeff = _ratio(piece, sign)
+            else:
+                tpart = piece
+        if tpart is None:
+            terms.append((0, 1, *coeff))
+            continue
+        m = _TPART_RE.match(tpart)
+        if not m:
+            raise PuiseuxParseError("bad t-power %r" % tpart)
+        terms.append((*_ratio(m.group("plain") or m.group("paren") or "1"), *coeff))
+    return _from_ratios(terms)
+
+
+def _ratio(text, sign=1):
+    """``(numerator, denominator)`` of a ``p`` or ``p/q`` literal, times ``sign``."""
+    num, _, den = text.partition("/")
+    return sign * int(num), int(den or 1)
 
 
 def random_matrix(rng, n, allow_zero=True):

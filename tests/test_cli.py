@@ -321,6 +321,7 @@ INPUT_ERROR_TEXTS = {
     "trop_unknown_space": (["trop", "torus9x", "(t)"], "\"unknown space id 'torus9x'\""),
     "trop_torus0": (["trop", "torus0", "(t)"], "\"unknown space id 'torus0'\""),
     "trop_unbalanced_parenthesis": (["trop", "torus2", "((1,2"], "unbalanced '(' in '((1'"),
+    "trop_malformed_term": (["trop", "torus2", "(3 t, 1)"], "malformed Puiseux polynomial '3 t'"),
     "star_without_index": (["fan", "star", "--fixture", "gl2_fig1_fan"], "star needs --cone-index"),
     "star_index_out_of_range": (
         ["fan", "star", "--fixture", "gl2_fig1_fan", "--cone-index", "99"],

@@ -499,6 +499,27 @@ def test_equality_and_pointedness_match_containment_and_rank():
     assert equal_with_lines > 0
 
 
+def test_hash_is_computed_once_per_cone(monkeypatch):
+    pairs = [
+        # a ray in the plane, and the same ray cut out by other normals
+        (Cone([(1, 0)]), Cone.from_inequalities([(1, 1), (0, 1), (0, -1)], 2)),
+        # cones that contain a line, by generators and by normals
+        (Cone([(1, 0), (-1, 0), (0, 1)]), Cone.from_inequalities([(0, 1)], 2)),
+        (
+            Cone([(1, 0, 0), (-1, 0, 0), (0, 1, 0)]),
+            Cone.from_inequalities([(0, 1, 0), (0, 0, 1), (0, 0, -1)], 3),
+        ),
+    ]
+    pointed = Cone.is_pointed
+    scans = []
+    monkeypatch.setattr(Cone, "is_pointed", lambda cone: scans.append(cone) or pointed(cone))
+    assert pairs[0][0].inequalities != pairs[0][1].inequalities
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b) == hash(a) == hash(b)
+    assert len(scans) == 2 * len(pairs)
+
+
 def test_feasible_point_witness():
     rows = [((1, 0), 1), ((0, 1), 2), ((-1, -1), -10)]
     point = feasible_point(rows, 2)

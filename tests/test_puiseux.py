@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -27,6 +29,7 @@ from helpers import (
     random_matrix,
     random_poly,
     random_unit_matrix,
+    reference_parse_puiseux,
 )
 
 t = PuiseuxPoly.t_power(1)
@@ -346,3 +349,63 @@ def test_parser_rejects_non_rational_coefficients():
         parse_puiseux("1.5*t")
     with pytest.raises((PuiseuxParseError, ValueError)):
         parse_puiseux("sqrt2*t")
+
+
+# NBSP is whitespace and ARABIC-INDIC DIGIT THREE a digit to both parsers
+MUTATION_ALPHABET = "t^()/*+-0123456789 \t\xa0\u0663"
+
+
+def _mutated(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3) if i < len(chars) else 0
+        if op == 0:
+            chars.insert(i, rng.choice(MUTATION_ALPHABET))
+        elif op == 1:
+            del chars[i]
+        else:
+            chars[i] = rng.choice(MUTATION_ALPHABET)
+    return "".join(chars)
+
+
+def _parsed_or_rejected(parse, text):
+    try:
+        return parse(text)
+    except PuiseuxParseError:
+        return "rejected"
+
+
+def test_parser_agrees_with_reference_splitter():
+    rng = random.Random(14)
+    outcomes = {"accepted": 0, "rejected": 0}
+    for case in range(20000):
+        if case % 5 == 0:
+            text = "".join(rng.choice(MUTATION_ALPHABET) for _ in range(rng.randint(0, 8)))
+        else:
+            text = format_puiseux(random_poly(rng, max_terms=4, allow_zero=True))
+            if rng.random() < 0.5:
+                text = re.sub(r"\^\((-?\d+)\)", r"^\1", text)  # the t^-1 spelling
+            if case % 5 != 1:
+                text = _mutated(rng, text)
+        expected = _parsed_or_rejected(reference_parse_puiseux, text)
+        assert _parsed_or_rejected(parse_puiseux, text) == expected, text
+        outcomes["rejected" if expected == "rejected" else "accepted"] += 1
+    assert min(outcomes.values()) > 5000
+
+
+def test_parse_is_linear_in_the_text():
+    # a failed match must not backtrack quadratically (``\s*[+-]?\s*`` would)
+    texts = [
+        " " * 10**5 + "x",
+        "1" + " " * 10**5 + "x",
+        "7" * 10**5 + "x",
+        "1" + " - t" * 10**4,
+        "t^(" + "7" * 10**5,
+        "1" + "*" * 10**5,
+    ]
+    for text in texts:
+        start = time.perf_counter()
+        _parsed_or_rejected(parse_puiseux, text)
+        assert time.perf_counter() - start < 0.5, text[:12]
+    assert parse_puiseux(texts[3]) == 1 - 10**4 * t
