@@ -85,9 +85,13 @@ def space_by_id(ident):
     if ident in ("sl2u", "sl2_u"):
         return builtin_space("sl2_u")
     m = _SPACE_ID_RE.match(ident)
-    if not m or not int(m.group(2)):
+    try:
+        n = int(m.group(2)) if m else 0
+    except ValueError:  # more digits than int() reads
+        n = 0
+    if not n:
         raise KeyError("unknown space id %r" % (ident,))
-    return builtin_space(m.group(1), int(m.group(2)))
+    return builtin_space(m.group(1), n)
 
 
 @dataclass(frozen=True)

@@ -74,23 +74,12 @@ def _read_doc(path):
 
 
 def _fixture_doc(name):
-    from .catalog import CurveFixture, reference_fixture
-
+    if name == "sl2u_family":
+        raise _CliInputError("fixture %r is parametric; materialize it through the library" % name)
     try:
-        fixture = reference_fixture(name)
+        return catalog._load_fixture_doc(name)
     except KeyError as exc:
         raise _CliInputError(str(exc)) from None
-    from .luna_vust import ColoredFan
-
-    if isinstance(fixture, ColoredFan):
-        return documents.fan_to_doc(fixture)
-    if isinstance(fixture, CurveFixture):
-        return documents.curve_to_doc(
-            fixture.space, fixture.branches, fixture.colored_weights, fixture.expected
-        )
-    raise _CliInputError(
-        "fixture %r is parametric; materialize it through the library" % name
-    )
 
 
 def _input_doc(args):

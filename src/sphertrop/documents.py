@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .balance import WeightedRayFan
@@ -18,43 +19,40 @@ from .luna_vust import ColoredCone, ColoredFan, SphericalSpace
 from .puiseux import format_puiseux, parse_puiseux
 from .tropicalize import CurveBranch, coordinate_count
 
-FORMATS = (
-    "space/1",
-    "fan/1",
-    "weighted-fan/1",
-    "curve/1",
-    "tropical-point/1",
-    "balance-report/1",
-    "validation-report/1",
-    "star/1",
-)
-
 
 class DocumentError(ValueError):
     """A JSON document violates its schema."""
 
 
 def rational_to_str(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return str(x) if type(x) is int else str(Fraction(x))  # "p" or "p/q", q > 0
 
 
-_RATIONAL_TEXT = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# The number grammar of docs/formats.md: "p" or "p/q" with q > 0, nothing else.
+_NUMBER = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+
+
+def _ratio_from_str(text):
+    """``(p, q)`` ints of a document number, q > 0."""
+    m = _NUMBER.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        raise DocumentError("bad rational %r (expected 'p' or 'p/q')" % (text,))
+    num, den = m.groups()
+    try:
+        return int(num), int(den) if den else 1
+    except ValueError:  # more digits than int() reads
+        raise DocumentError("number has more than %d digits" % sys.get_int_max_str_digits()) from None
 
 
 def rational_from_str(text):
-    if not isinstance(text, str) or not _RATIONAL_TEXT.match(text):
-        raise DocumentError("bad rational %r (expected 'p' or 'p/q')" % (text,))
-    return Fraction(text)
+    return Fraction(*_ratio_from_str(text))
 
 
 def integer_from_str(text):
-    value = rational_from_str(text)
-    if value.denominator != 1:
+    p, q = _ratio_from_str(text)
+    if p % q:
         raise DocumentError("expected an integer, got %r" % (text,))
-    return int(value)
+    return p // q
 
 
 def vector_to_doc(v):
@@ -368,7 +366,7 @@ def dumps(doc):
 def load_text(text):
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long int, or nested too deeply
         raise DocumentError("not valid JSON: %s" % exc) from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise DocumentError("document needs a top-level 'format' field")

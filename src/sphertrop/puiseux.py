@@ -13,6 +13,7 @@ exceeds every valuation in play.  The valuation of the zero polynomial is
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, inf, lcm
 
@@ -284,10 +285,13 @@ def parse_puiseux(text):
             raise PuiseuxParseError("unbalanced '(' in %r" % stripped)
         raise PuiseuxParseError("malformed Puiseux polynomial %r" % stripped)
     terms = []
-    for sign, c_num, c_den, t, q_num, q_den in _TERM_RE.findall(stripped):
-        c = int(c_num or 1)
-        q = int(q_num) if q_num else 1 if t else 0
-        terms.append((q, int(q_den or 1), -c if sign == "-" else c, int(c_den or 1)))
+    try:
+        for sign, c_num, c_den, t, q_num, q_den in _TERM_RE.findall(stripped):
+            c = int(c_num or 1)
+            q = int(q_num) if q_num else 1 if t else 0
+            terms.append((q, int(q_den or 1), -c if sign == "-" else c, int(c_den or 1)))
+    except ValueError:  # more digits than int() reads
+        raise PuiseuxParseError("number has more than %d digits" % sys.get_int_max_str_digits()) from None
     return _from_ratios(terms)
 
 

@@ -4,6 +4,7 @@ import itertools
 import re
 from fractions import Fraction
 
+from sphertrop.documents import DocumentError
 from sphertrop.lattice import Cone, dot, primitive, is_zero_vector
 from sphertrop.puiseux import PuiseuxParseError, PuiseuxPoly, _from_ratios
 
@@ -190,6 +191,30 @@ def _ratio(text, sign=1):
     """``(numerator, denominator)`` of a ``p`` or ``p/q`` literal, times ``sign``."""
     num, _, den = text.partition("/")
     return sign * int(num), int(den or 1)
+
+
+# --- the reference document number reader -----------------------------------
+
+_RATIONAL_TEXT = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+def reference_rational_from_str(text):
+    """The document number reader before it became one match with groups.
+
+    It checks the text with ``_RATIONAL_TEXT`` and parses it again with
+    ``Fraction``; kept as the reference ``documents.rational_from_str`` is
+    compared with.
+    """
+    if not isinstance(text, str) or not _RATIONAL_TEXT.match(text):
+        raise DocumentError("bad rational %r (expected 'p' or 'p/q')" % (text,))
+    return Fraction(text)
+
+
+def reference_integer_from_str(text):
+    value = reference_rational_from_str(text)
+    if value.denominator != 1:
+        raise DocumentError("expected an integer, got %r" % (text,))
+    return int(value)
 
 
 def random_matrix(rng, n, allow_zero=True):

@@ -180,6 +180,25 @@ def _negative_colored_weight(doc):
     doc["colored_weights"][0]["weight"] = "-1"
 
 
+def _weighted_fan_file(tmp_path, text):
+    path = tmp_path / "weighted.json"
+    path.write_text(text)
+    return ["balance", "check", str(path)]
+
+
+def _torus1_weighted_fan(vector, weight):
+    return json.dumps(
+        {
+            "format": "weighted-fan/1",
+            "space": {"builtin": "torus1"},
+            "rays": [{"vector": [vector], "weight": weight}, {"vector": ["-1"], "weight": "2"}],
+        }
+    )
+
+
+# int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+OVER_LONG = "1" * 5000
+
 BAD_INPUTS = {
     "member_generator_wrong_dimension": lambda tmp: _fan_doc_with(
         tmp, lambda doc: doc["cones"][-1].update(generators=[["1", "0", "0"]])
@@ -305,6 +324,17 @@ BAD_INPUTS = {
     "trop_matrix_split_in_two": lambda tmp: ["trop", "gln2", "[[t,1]],[[1,t]]"],
     "trop_matrix_text_between_rows": lambda tmp: ["trop", "gln2", "[[t,1] x [1,t]]"],
     "trop_matrix_trailing_comma": lambda tmp: ["trop", "gln2", "[[t,1],[1,t],]]"],
+    "balance_check_number_with_final_newline": lambda tmp: _weighted_fan_file(
+        tmp, _torus1_weighted_fan("1\n", "2\n")
+    ),
+    "balance_check_over_long_weight": lambda tmp: _weighted_fan_file(
+        tmp, _torus1_weighted_fan("1", OVER_LONG)
+    ),
+    "balance_check_over_long_json_integer": lambda tmp: _weighted_fan_file(
+        tmp, _torus1_weighted_fan("1", "2")[:-1] + ', "note": %s}' % OVER_LONG
+    ),
+    "trop_over_long_coefficient": lambda tmp: ["trop", "torus1", "(%s)" % OVER_LONG],
+    "trop_over_long_space_id": lambda tmp: ["trop", "gln" + OVER_LONG, "[[t]]"],
 }
 
 

@@ -1,7 +1,12 @@
 import json
+import pathlib
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sphertrop.balance import check_balancing
 from sphertrop.catalog import builtin_space, reference_fixture
@@ -13,6 +18,7 @@ from sphertrop.documents import (
     dumps,
     fan_from_doc,
     fan_to_doc,
+    integer_from_str,
     load_text,
     rational_from_str,
     rational_to_str,
@@ -22,6 +28,8 @@ from sphertrop.documents import (
     weighted_fan_to_doc,
 )
 from sphertrop.luna_vust import validate_colored_fan
+
+from helpers import reference_integer_from_str, reference_rational_from_str
 
 
 def test_rational_codec():
@@ -33,6 +41,94 @@ def test_rational_codec():
         rational_from_str("1.5")
     with pytest.raises(DocumentError):
         rational_from_str("1/0")
+
+
+def test_number_text_is_exactly_the_grammar():
+    assert integer_from_str("4/2") == 2
+    assert integer_from_str("+7") == 7
+    assert integer_from_str("\u0663") == 3
+    assert rational_from_str("-6/4") == Fraction(-3, 2)
+    for text in ["1.5", "1/0", " 5", "1_0", "5\n", "1/-2", "", 5]:
+        with pytest.raises(DocumentError, match="bad rational"):
+            integer_from_str(text)
+    with pytest.raises(DocumentError, match="expected an integer, got '3/2'"):
+        integer_from_str("3/2")
+    limit = sys.get_int_max_str_digits()
+    assert integer_from_str("-" + "9" * limit) == -(10**limit - 1)
+    with pytest.raises(DocumentError, match="more than %d digits" % limit):
+        integer_from_str("9" * (limit + 1))
+    with pytest.raises(DocumentError, match="more than %d digits" % limit):
+        rational_from_str("1/" + "9" * (limit + 1))
+
+
+# ARABIC-INDIC DIGIT THREE is a digit to both readers
+NUMBER_ALPHABET = "0123456789\u0663+-/0 \n._"
+
+
+def _number_text(rng):
+    kind = rng.randrange(50)
+    if kind == 0:  # a long run, at or past int()'s digit limit
+        run = rng.choice("17") * rng.choice([4299, 4300, 4301, 5000])
+        return rng.choice(["", "-"]) + run + rng.choice(["", "/3", "/" + run, "\n"])
+    if kind < 10:
+        return "".join(rng.choice(NUMBER_ALPHABET) for _ in range(rng.randint(0, 6)))
+    chars = list(rng.choice(["", "", "-", "+"]) + str(rng.randint(0, 10**rng.randint(1, 6))))
+    if rng.random() < 0.4:
+        chars += "/" + str(rng.randint(1, 999))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randrange(len(chars) + 1)
+        if i < len(chars) and rng.random() < 0.5:
+            chars[i] = rng.choice(NUMBER_ALPHABET)
+        else:
+            chars.insert(i, rng.choice(NUMBER_ALPHABET))
+    return "".join(chars)
+
+
+def _read_or_rejected(read, text, rejection):
+    try:
+        value = read(text)
+    except rejection:
+        return "rejected"
+    return type(value), value
+
+
+def test_number_reader_agrees_with_reference():
+    rng = random.Random(15)
+    outcomes = {"accepted": 0, "rejected": 0, "final newline": 0}
+    for _ in range(20000):
+        text = _number_text(rng)
+        for read, reference in [
+            (rational_from_str, reference_rational_from_str),
+            (integer_from_str, reference_integer_from_str),
+        ]:
+            # the reference lets int()'s digit limit out as a bare ValueError
+            expected = _read_or_rejected(reference, text, ValueError)
+            got = _read_or_rejected(read, text, DocumentError)
+            if got != expected:  # "$" matches before one final newline, fullmatch does not
+                assert got == "rejected" and re.fullmatch(r"[^\n]*\n", text), (text, expected)
+                outcomes["final newline"] += 1
+            else:
+                outcomes["rejected" if got == "rejected" else "accepted"] += 1
+    assert min(outcomes.values()) > 100 and min(outcomes["accepted"], outcomes["rejected"]) > 10000
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_number_text_round_trip(x):
+    text = rational_to_str(x)
+    assert rational_from_str(text) == x
+    if isinstance(x, int):
+        value = integer_from_str(text)
+        assert type(value) is int and value == x
+
+
+def test_every_written_format_is_documented():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sections = re.findall(r"^## (\S+)", (root / "docs" / "formats.md").read_text(), re.M)
+    written = set()
+    for path in (root / "src" / "sphertrop").glob("*.py"):
+        written.update(re.findall(r'"format": "([^"]+)"', path.read_text()))
+    assert len(written) >= 10
+    assert written <= set(sections)
 
 
 def test_space_roundtrip_builtin_and_inline():
