@@ -12,7 +12,8 @@ The gln palette vectors follow from the orders of the character basis
 functions along the divisor of the j-th minor; the n = 2 value is pinned
 independently and the general rule is validated by an order-computation
 oracle in the test suite.  Reference fans and curves live in JSON fixture
-files so other tooling can share them byte-for-byte.
+files so other tooling can share them byte-for-byte; the sl2_u family of
+weighted fans is built in code by :func:`sl2u_family`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ def builtin_space(name, n=None):
             palette=(),
             character_basis_labels=tuple("x%d" % (i + 1) for i in range(n)),
             family="torus",
-            family_size=n,
         )
     if name in ("sl2_u", "sl2u"):
         return SphericalSpace(
@@ -48,7 +48,6 @@ def builtin_space(name, n=None):
             palette=(("E1", (1,)),),
             character_basis_labels=("chi1",),
             family="sl2_u",
-            family_size=2,
         )
     if name == "gln":
         if n is None or n < 1:
@@ -72,26 +71,32 @@ def builtin_space(name, n=None):
             palette=tuple(palette),
             character_basis_labels=tuple("chi%d" % (i + 1) for i in range(n)),
             family="gln",
-            family_size=n,
         )
     raise ValueError("unknown space family %r" % (name,))
 
 
-_SPACE_ID_RE = re.compile(r"^(torus|gln)(\d+)$")
+# The space id grammar: torus<n> or gln<n>, else sl2u (also written sl2_u).
+_SPACE_ID = re.compile(r"(torus|gln)(\d+)|sl2_?u")
 
 
-def space_by_id(ident):
-    """Resolve CLI-style space ids ``torus<n>``, ``gln<n>`` (n >= 1), ``sl2u``; else KeyError."""
-    if ident in ("sl2u", "sl2_u"):
-        return builtin_space("sl2_u")
-    m = _SPACE_ID_RE.match(ident)
+def parse_space_id(ident):
+    """``(family, n)`` of a CLI-style space id ``torus<n>``, ``gln<n>`` (n >= 1)
+    or ``sl2u`` (n is None); else KeyError.  Builds no space."""
+    m = _SPACE_ID.fullmatch(ident)
+    if m and not m.group(1):
+        return "sl2_u", None
     try:
         n = int(m.group(2)) if m else 0
     except ValueError:  # more digits than int() reads
         n = 0
     if not n:
         raise KeyError("unknown space id %r" % (ident,))
-    return builtin_space(m.group(1), n)
+    return m.group(1), n
+
+
+def space_by_id(ident):
+    """The catalog space of a CLI-style space id; else KeyError."""
+    return builtin_space(*parse_space_id(ident))
 
 
 @dataclass(frozen=True)
@@ -105,12 +110,8 @@ class CurveFixture:
     expected: object  # WeightedRayFan
 
 
-FIXTURE_FILES = {
-    "gl2_fig1_fan": "gl2_fig1_fan.json",
-    "gl2_line_curve": "gl2_line_curve.json",
-    "torus_line_curve": "torus_line_curve.json",
-    "sl2u_family": "sl2u_family.json",
-}
+# Each fixture ``<name>`` is the packaged document ``fixtures/<name>.json``.
+FIXTURE_FILES = ("gl2_fig1_fan", "gl2_line_curve", "torus_line_curve")
 
 
 def fixture_names():
@@ -118,11 +119,9 @@ def fixture_names():
 
 
 def _load_fixture_doc(name):
-    try:
-        filename = FIXTURE_FILES[name]
-    except KeyError:
-        raise KeyError("unknown fixture %r" % (name,)) from None
-    path = resources.files("sphertrop").joinpath("fixtures", filename)
+    if name not in FIXTURE_FILES:
+        raise KeyError("unknown fixture %r" % (name,))
+    path = resources.files("sphertrop").joinpath("fixtures", name + ".json")
     return json.loads(path.read_text())
 
 
@@ -130,13 +129,10 @@ def reference_fixture(name):
     """Load a named fixture.
 
     ``gl2_fig1_fan`` gives a ColoredFan; the curve fixtures give
-    :class:`CurveFixture` objects; ``sl2u_family`` gives the two-parameter
-    family as a callable ``(d, e) -> WeightedRayFan``.
+    :class:`CurveFixture` objects.
     """
     from . import documents
 
-    if name == "sl2u_family":
-        return sl2u_family
     doc = _load_fixture_doc(name)
     if doc.get("format") == "fan/1":
         return documents.fan_from_doc(doc)
@@ -146,55 +142,19 @@ def reference_fixture(name):
     raise ValueError("fixture %r has unsupported format %r" % (name, doc.get("format")))
 
 
-_SYMBOL_RE = re.compile(r"^[a-z]+$")
-
-
-def _eval_linear(text, values):
-    """Evaluate small integer expressions like ``d``, ``e``, ``d-e``, ``3``."""
-    total = 0
-    sign = 1
-    for token in re.findall(r"[+-]|[a-z]+|\d+", str(text).replace(" ", "")):
-        if token == "+":
-            sign = 1
-        elif token == "-":
-            sign = -1
-        elif _SYMBOL_RE.match(token):
-            total += sign * values[token]
-            sign = 1
-        else:
-            total += sign * int(token)
-            sign = 1
-    return total
-
-
 def sl2u_family(d, e):
     """The one-parameter degree-d family with colored weight e.
 
     Rays ``(-1)`` with weight d and ``(+1)`` with weight d - e, plus colored
     weight e on the single color; requires ``1 <= d`` and ``0 <= e <= d``.
-    The weight-zero ray at e = d is dropped at assembly.
+    At e = d the ray ``(+1)`` has weight zero and is left out.
     """
     from .balance import assemble
 
     if d < 1 or not 0 <= e <= d:
         raise ValueError("need 1 <= d and 0 <= e <= d, got d=%r e=%r" % (d, e))
-    doc = _load_fixture_doc("sl2u_family")
-    space = space_by_id(doc["space"]["builtin"])
-    values = {"d": d, "e": e}
-    rays = []
-    for entry in doc["rays"]:
-        vector = tuple(int(a) for a in entry["vector"])
-        weight = _eval_linear(entry["weight"], values)
-        rays.append((vector, weight))
-    colored = []
-    for entry in doc["colored_weights"]:
-        j = space.color_index(entry["color"])
-        colored.append((j, _eval_linear(entry["weight"], values)))
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the e = d case drops a zero ray
-        return assemble(space, rays, colored)
+    rays = [((-1,), d)] + ([((1,), d - e)] if e < d else [])
+    return assemble(builtin_space("sl2_u"), rays, [(0, e)])
 
 
 def catalog_listing():

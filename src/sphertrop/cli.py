@@ -74,8 +74,6 @@ def _read_doc(path):
 
 
 def _fixture_doc(name):
-    if name == "sl2u_family":
-        raise _CliInputError("fixture %r is parametric; materialize it through the library" % name)
     try:
         return catalog._load_fixture_doc(name)
     except KeyError as exc:
@@ -128,15 +126,17 @@ def cmd_trop(args):
     if not space_id or not coordinates:
         raise _CliInputError("trop needs a space id and coordinates")
     try:
-        space = catalog.space_by_id(space_id)
+        family, n = catalog.parse_space_id(space_id)
     except KeyError as exc:
         raise _CliInputError(str(exc)) from None
     branch = _parse_coordinates(coordinates)
-    arity = coordinate_count(space)
+    arity = coordinate_count(family, n)
     if len(branch.coords) != arity:
         raise _CliInputError(
-            "%s takes %d coordinates, got %d" % (space_id, arity, len(branch.coords))
+            "%s takes %s coordinates, got %d"
+            % (space_id, documents.rational_to_str(arity), len(branch.coords))
         )
+    space = catalog.builtin_space(family, n)  # built only once the arity fits
     try:
         point = trop_point(space, branch)
     except OffSpaceError as exc:
@@ -223,7 +223,7 @@ def cmd_balance(args):
             {
                 "format": "colored-weights/1",
                 "feasible": True,
-                "weights": {wf.space.palette[j][0]: str(m) for j, m in solution},
+                "weights": {wf.space.palette[j][0]: documents.rational_to_str(m) for j, m in solution},
             },
             args,
         )

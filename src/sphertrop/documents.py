@@ -25,7 +25,12 @@ class DocumentError(ValueError):
 
 
 def rational_to_str(x):
-    return str(x) if type(x) is int else str(Fraction(x))  # "p" or "p/q", q > 0
+    """``"p"`` or ``"p/q"`` with q > 0; over the digit limit, which no reader
+    would take back, a DocumentError."""
+    try:
+        return str(x) if type(x) is int else str(Fraction(x))
+    except ValueError:  # more digits than str() writes
+        raise _over_digit_limit() from None
 
 
 # The number grammar of docs/formats.md: "p" or "p/q" with q > 0, nothing else.
@@ -41,7 +46,11 @@ def _ratio_from_str(text):
     try:
         return int(num), int(den) if den else 1
     except ValueError:  # more digits than int() reads
-        raise DocumentError("number has more than %d digits" % sys.get_int_max_str_digits()) from None
+        raise _over_digit_limit() from None
+
+
+def _over_digit_limit():
+    return DocumentError("number has more than %d digits" % sys.get_int_max_str_digits())
 
 
 def rational_from_str(text):
@@ -146,7 +155,6 @@ def space_from_doc(doc):
         palette=tuple(palette),
         character_basis_labels=tuple(characters),
         family=family,
-        family_size=family_size,
     )
 
 
@@ -202,10 +210,10 @@ def weighted_fan_to_doc(wf):
         "format": "weighted-fan/1",
         "space": space_to_doc(wf.space),
         "rays": [
-            {"vector": vector_to_doc(v), "weight": str(m)} for v, m in wf.rays
+            {"vector": vector_to_doc(v), "weight": rational_to_str(m)} for v, m in wf.rays
         ],
         "colored_weights": [
-            {"color": wf.space.palette[j][0], "weight": str(m)}
+            {"color": wf.space.palette[j][0], "weight": rational_to_str(m)}
             for j, m in wf.colored_weights
         ],
     }
@@ -262,7 +270,7 @@ def curve_to_doc(space, branches, colored_weights=(), expected=None):
         "space": space_to_doc(space),
         "branches": [_branch_to_doc(b, space) for b in branches],
         "colored_weights": [
-            {"color": space.palette[j][0], "weight": str(m)} for j, m in colored_weights
+            {"color": space.palette[j][0], "weight": rational_to_str(m)} for j, m in colored_weights
         ],
     }
     if expected is not None:
@@ -278,7 +286,7 @@ def curve_from_doc(doc):
     """
     _check_format(doc, "curve/1")
     space = space_from_doc(_require(doc, "space"))
-    arity = coordinate_count(space)
+    arity = coordinate_count(space.family, space.rank)
     if arity is None:
         raise DocumentError("a curve/1 space needs a family (torus, sl2_u or gln)")
     branches = []
@@ -328,7 +336,7 @@ def balance_report_to_doc(report):
         "balanced": report.balanced,
         "residual": vector_to_doc(report.residual),
         "quotient_residual": vector_to_doc(report.quotient_residual),
-        "per_character": {label: str(value) for label, value in report.per_character},
+        "per_character": {label: rational_to_str(value) for label, value in report.per_character},
     }
 
 

@@ -29,8 +29,8 @@ class SphericalSpace:
     ``rank`` is the dimension of the cocharacter-side lattice, in which the
     valuation cone lives; ``palette`` lists the color labels with their
     vectors; ``character_basis_labels`` names the dual basis used for
-    character pairings.  ``family``/``family_size`` tag catalog entries so
-    tropicalization can dispatch.
+    character pairings.  ``family`` tags catalog entries so tropicalization
+    can dispatch.
     """
 
     name: str
@@ -39,7 +39,6 @@ class SphericalSpace:
     palette: tuple = ()
     character_basis_labels: tuple = ()
     family: str | None = None
-    family_size: int | None = None
 
     def __post_init__(self):
         if not self.character_basis_labels:
@@ -48,6 +47,11 @@ class SphericalSpace:
                 "character_basis_labels",
                 tuple("chi%d" % (i + 1) for i in range(self.rank)),
             )
+
+    @property
+    def family_size(self):
+        """n for torus(n) and gln(n), 2 for sl2_u (the group SL2), else None."""
+        return {"torus": self.rank, "gln": self.rank, "sl2_u": 2}.get(self.family)
 
     def palette_vector(self, j):
         if not 0 <= j < len(self.palette):

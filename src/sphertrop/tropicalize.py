@@ -146,15 +146,15 @@ def cartan_valuations_by_elimination(M):
     return tuple(reversed(increasing))
 
 
-def coordinate_count(space):
-    """Coordinates of a branch in ``space``: n for torus(n), 2 for sl2_u,
-    n*n for gln(n); None outside the catalog families."""
-    if space.family == "torus":
-        return space.rank
-    if space.family == "sl2_u":
+def coordinate_count(family, rank):
+    """Coordinates of a branch in a space of this family and rank: n for
+    torus(n), 2 for sl2_u, n*n for gln(n); None outside the catalog families."""
+    if family == "torus":
+        return rank
+    if family == "sl2_u":
         return 2
-    if space.family == "gln":
-        return space.family_size**2
+    if family == "gln":
+        return rank**2
     return None
 
 
@@ -166,7 +166,7 @@ def trop_point(space, branch):
     the space.
     """
     coords = branch.coords
-    n = coordinate_count(space)
+    n = coordinate_count(space.family, space.rank)
     if n is None:
         raise ValueError("unsupported space kind %r" % (space.family,))
     if len(coords) != n:

@@ -124,7 +124,6 @@ def test_fixture_names():
         "gl2_fig1_fan",
         "gl2_line_curve",
         "torus_line_curve",
-        "sl2u_family",
     }
     with pytest.raises(KeyError):
         reference_fixture("nonexistent")

@@ -1,11 +1,13 @@
 import copy
 import json
+import pathlib
 import random
+import sys
 import time
 
 import pytest
 
-from sphertrop import documents
+from sphertrop import catalog, documents
 from sphertrop.catalog import _load_fixture_doc, reference_fixture, sl2u_family, space_by_id
 from sphertrop.cli import main
 from sphertrop.fuzz import mutate
@@ -335,6 +337,12 @@ BAD_INPUTS = {
     ),
     "trop_over_long_coefficient": lambda tmp: ["trop", "torus1", "(%s)" % OVER_LONG],
     "trop_over_long_space_id": lambda tmp: ["trop", "gln" + OVER_LONG, "[[t]]"],
+    "trop_space_id_with_final_newline": lambda tmp: ["trop", "torus2\n", "(t, t^2)"],
+    "balance_check_builtin_with_final_newline": lambda tmp: _weighted_fan_file(
+        tmp, _torus1_weighted_fan("1", "2").replace('"torus1"', '"torus1\\n"')
+    ),
+    # gln<n> with 2500 digits takes n * n coordinates, a number over the digit limit
+    "trop_coordinate_count_over_digit_limit": lambda tmp: ["trop", "gln" + "9" * 2500, "[[t]]"],
 }
 
 
@@ -378,6 +386,22 @@ def test_trop_arity_mismatch_is_input_error(capsys):
     code, _, err = run(capsys, "trop", "gln2", "[[1]]")
     assert code == 2
     assert err == "error: gln2 takes 4 coordinates, got 1\n"
+
+
+def test_trop_checks_arity_before_building_the_space(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(catalog, "builtin_space", lambda *args: built.append(args))
+    code, _, err = run(capsys, "trop", "gln80", "[[t]]")
+    assert (code, err, built) == (2, "error: gln80 takes 6400 coordinates, got 1\n", [])
+
+
+def test_result_over_digit_limit_names_the_limit(capsys, tmp_path):
+    # each number read fits the digit limit, but the residual entry (about 8000 digits) does not
+    big = "9" * 4000
+    doc = {"format": "weighted-fan/1", "space": {"builtin": "torus2"}, "rays": [{"vector": [big, "1"], "weight": big}]}
+    code, out, err = run(capsys, *_weighted_fan_file(tmp_path, json.dumps(doc)))
+    limit = sys.get_int_max_str_digits()
+    assert (code, out, err) == (2, "", "error: number has more than %d digits\n" % limit)
 
 
 # --- mutated fixture documents ---------------------------------------------------
@@ -569,7 +593,22 @@ def test_fixture_flag(capsys):
     code, out, _ = run(capsys, "fan", "validate", "--fixture", "gl2_fig1_fan")
     assert code == 0
     code, _, err = run(capsys, "balance", "check", "--fixture", "sl2u_family")
-    assert code == 2  # parametric fixture is not a document
+    assert code == 2  # no such fixture: the sl2u family is built by catalog.sl2u_family
+
+
+FIXTURE_COMMANDS = {"fan/1": ["fan", "validate"], "curve/1": ["balance", "check"]}
+
+
+def test_every_listed_fixture_loads(capsys):
+    _, out, _ = run(capsys, "catalog", "list")
+    names = json.loads(out)["fixtures"]
+    for name in names:
+        command = FIXTURE_COMMANDS[catalog._load_fixture_doc(name)["format"]]
+        code, out, err = run(capsys, *command, "--fixture", name)
+        assert (code, err) == (0, ""), name
+        assert json.loads(out)["format"] in ("validation-report/1", "balance-report/1")
+    packaged = pathlib.Path(catalog.__file__).with_name("fixtures")
+    assert sorted(p.name for p in packaged.iterdir()) == sorted(name + ".json" for name in names)
 
 
 def test_fixture_and_file_are_exclusive(capsys, fan_file):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sphertrop.balance import check_balancing
-from sphertrop.catalog import builtin_space, reference_fixture
+from sphertrop.catalog import builtin_space, reference_fixture, space_by_id
 from sphertrop.documents import (
     DocumentError,
     balance_report_to_doc,
@@ -141,6 +141,68 @@ def test_space_roundtrip_builtin_and_inline():
     assert space_from_doc({"builtin": "gln2"}).name == "gln2"
     with pytest.raises(DocumentError):
         space_from_doc({"builtin": "own_space"})
+
+
+def _space_doc(name, family, family_size, generators, palette=(), characters=None):
+    """A space/1 document written out field by field, as a benchmark or a user would."""
+    rank = len(generators[0])
+    return {
+        "format": "space/1",
+        "name": name,
+        "rank": rank,
+        "family": family,
+        "family_size": family_size,
+        "valuation_cone": {"generators": [[str(a) for a in g] for g in generators]},
+        "palette": [{"label": label, "vector": [str(a) for a in v]} for label, v in palette],
+        "characters": characters or ["chi%d" % (i + 1) for i in range(rank)],
+    }
+
+
+def _units(n):
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return sorted(units + [tuple(-a for a in e) for e in units])
+
+
+def _gln_space_doc(n):
+    gens = [(-1,) * n] + [(1,) * k + (0,) * (n - k) for k in range(1, n + 1)]
+    palette = [
+        ("E%d" % (j + 1), tuple(1 if i == j else -1 if i == j - 1 else 0 for i in range(n)))
+        for j in range(1, n)
+    ]
+    return _space_doc("gln%d" % n, "gln", n, gens, palette)
+
+
+def _torus_space_doc(n):
+    return _space_doc("torus%d" % n, "torus", n, _units(n), characters=["x%d" % (i + 1) for i in range(n)])
+
+
+def test_space_doc_writes_the_family_size_of_each_family():
+    sizes = {"sl2u": 2, **{"torus%d" % n: n for n in range(1, 5)}, **{"gln%d" % n: n for n in range(1, 5)}}
+    for ident, size in sizes.items():
+        doc = space_to_doc(space_by_id(ident))
+        assert doc["family_size"] == size, ident
+        assert space_to_doc(space_from_doc(doc)) == doc, ident
+    written = [
+        _space_doc("sl2u", "sl2_u", 2, [(-1,), (1,)], [("E1", (1,))]),
+        _space_doc("dep4", None, None, _units(2), [("C1", (1, 0)), ("C2", (0, 1)), ("C3", (1, 1)), ("C4", (1, 2))]),
+        *(_torus_space_doc(n) for n in range(1, 5)),
+        *(_gln_space_doc(n) for n in range(1, 6)),
+    ]
+    for doc in written:
+        assert space_to_doc(space_from_doc(doc)) == doc, doc["name"]
+
+
+def test_space_doc_family_size_is_derived_on_read():
+    # only a gln space's family_size is checked; the others are ignored and written back derived
+    torus = _torus_space_doc(2)
+    plane = _space_doc("plane", None, None, _units(2))
+    for doc, size in ((torus, 2), (plane, None)):
+        for claimed in (None, 7, "seven"):
+            back = space_from_doc({**doc, "family_size": claimed})
+            assert back.family_size == size
+            assert space_to_doc(back)["family_size"] == size
+    with pytest.raises(DocumentError):
+        space_from_doc({**_gln_space_doc(2), "family_size": 3})
 
 
 def test_fan_document_roundtrip_is_identity_on_canonical_forms():
