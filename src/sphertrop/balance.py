@@ -130,15 +130,10 @@ def palette_projection(space):
 def check_quotient_balancing(wf):
     """Residual after projecting along the palette directions.
 
-    Colored weights are ignored: their vectors map to zero by construction
-    of the projection.
+    The projection maps every color vector to zero, so the colored weights
+    drop out of the projected residual.
     """
-    projection = palette_projection(wf.space)
-    m = len(projection)
-    total = (0,) * m
-    for v, weight in wf.rays:
-        total = vec_add(total, vec_scale(weight, mat_vec(projection, v)))
-    return total
+    return mat_vec(palette_projection(wf.space), residual_vector(wf))
 
 
 def check_balancing(wf):
@@ -151,7 +146,7 @@ def check_balancing(wf):
     return BalanceReport(
         residual=residual,
         balanced=balanced,
-        quotient_residual=check_quotient_balancing(wf),
+        quotient_residual=mat_vec(palette_projection(wf.space), residual),
         per_character=per_character,
     )
 

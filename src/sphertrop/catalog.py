@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .lattice import Cone, signed_basis
+from .lattice import Cone
 from .luna_vust import SphericalSpace
 
 
@@ -35,7 +35,7 @@ def builtin_space(name, n=None):
         return SphericalSpace(
             name="torus%d" % n,
             rank=n,
-            valuation_cone=Cone(signed_basis(n), n),
+            valuation_cone=Cone.from_inequalities((), n),
             palette=(),
             character_basis_labels=tuple("x%d" % (i + 1) for i in range(n)),
             family="torus",
@@ -44,7 +44,7 @@ def builtin_space(name, n=None):
         return SphericalSpace(
             name="sl2u",
             rank=1,
-            valuation_cone=Cone(signed_basis(1), 1),
+            valuation_cone=Cone.from_inequalities((), 1),
             palette=(("E1", (1,)),),
             character_basis_labels=("chi1",),
             family="sl2_u",

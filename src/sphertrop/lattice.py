@@ -542,7 +542,8 @@ class Cone:
     memoised on the sorted distinct directions, so rebuilding a cone from
     generators seen before costs no elimination.  The inequality description
     is kept on the instance: :meth:`from_inequalities` keeps the pruned
-    normals it was given, else it is computed lazily, once per instance, by
+    normals it was given (and their dual description as the generators),
+    else it is computed lazily, once per instance, by
     :func:`dual_description` (itself memoised).  The zero cone has an empty
     generator list.  Instances are immutable; equality is set equality:
     equal generator tuples, else mutual containment.  The stored generators
@@ -574,10 +575,20 @@ class Cone:
 
     @classmethod
     def from_inequalities(cls, normals, ambient_dim):
-        """Cone cut out by ``n . x >= 0`` for the given normals."""
+        """Cone cut out by ``n . x >= 0`` for the given normals.
+
+        The dual description of the pruned normals is already sorted,
+        primitive and irredundant, so it is stored as the generators without
+        pruning again; no normals give the whole space, whose signed basis
+        only needs sorting, with no elimination at all.
+        """
         pruned = _irredundant(_directions(normals, ambient_dim), ambient_dim)
-        cone = cls(dual_description(pruned, ambient_dim), ambient_dim)
+        generators = tuple(sorted(dual_description(pruned, ambient_dim)))
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "ambient_dim", ambient_dim)
+        object.__setattr__(cone, "generators", generators)
         object.__setattr__(cone, "_normals", pruned)
+        object.__setattr__(cone, "_hash", None)
         return cone
 
     @property

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .lattice import dot
+
 BOX = 200  # half-width of the drawing area in user units
 UNIT = 55  # pixels per lattice step
 RAY_LEN = 165
@@ -45,99 +47,31 @@ def _stretch(v, length):
     return tuple(Fraction(a) * length / m for a in v)
 
 
-def _angle_key(v):
-    """Exact circular order of a nonzero plane vector, starting at +x."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    if y > 0 or (y == 0 and x > 0):
-        half = 0
-    else:
-        half = 1
-    # within a half-turn, order by decreasing x/r: compare via cross products
-    return (half, _HalfTurnKey(x, y))
-
-
-class _HalfTurnKey:
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
-
-    def __lt__(self, other):
-        # cross > 0 means self is counterclockwise-before other
-        return self.y * other.x - self.x * other.y < 0
-
-    def __eq__(self, other):
-        return self.y * other.x - self.x * other.y == 0
-
-    __hash__ = None
-
-
 def _region_polygon(cone):
-    """Vertices of cone intersect box, counterclockwise; None if trivial."""
+    """Vertices of cone intersect box, counterclockwise, each once; None if zero.
+
+    Reentrant polygon clipping (Sutherland and Hodgman, Commun. ACM 17,
+    1974): the box is clipped by each half-plane ``n . x >= 0`` in turn.  A
+    vertex on the clip line is kept, and an edge adds its crossing point
+    only where it passes strictly from one side to the other, so no vertex
+    repeats and a ray or a line comes out as its segment.
+    """
     if cone.is_zero:
         return None
     corners = [(BOX, BOX), (-BOX, BOX), (-BOX, -BOX), (BOX, -BOX)]
-    if not cone.inequalities:  # the whole plane
-        return [tuple(map(Fraction, c)) for c in corners]
-    points = []
-    for g in cone.generators:
-        points.append(_stretch(g, BOX))
-    for c in corners:
-        if cone.contains(c):
-            points.append(tuple(map(Fraction, c)))
-    unique = []
-    for p in points:
-        if any(p == q for q in unique):
-            continue
-        unique.append(p)
-    unique.sort(key=_angle_key)
-    if cone.is_pointed():
-        origin = (Fraction(0), Fraction(0))
-        # open the wedge at the origin: start after the widest angular gap
-        unique = _rotate_past_gap(unique)
-        return [origin] + unique
-    return unique
-
-
-def _rotate_past_gap(points):
-    """Rotate a circularly sorted list so it starts after the largest gap.
-
-    For a pointed cone the boundary rays bound an angular gap of more than
-    zero; the polygon must run through the cone, not the gap.  The gap is
-    located exactly: consecutive points u, v (circularly) are inside the
-    cone's span iff every point lies weakly between them going ccw.
-    """
-    n = len(points)
-    if n <= 1:
-        return points
-    best_i = 0
-    best = None
-    for i in range(n):
-        u = points[i]
-        v = points[(i + 1) % n]
-        # angular size of the arc u -> v, measured by ordering: use cross sign
-        key = _gap_size(u, v)
-        if best is None or key > best:
-            best = key
-            best_i = i
-    return points[best_i + 1 :] + points[: best_i + 1]
-
-
-def _gap_size(u, v):
-    """Comparable proxy for the ccw arc angle from u to v.
-
-    The cotangent of the arc angle is dot/cross and is strictly decreasing
-    on (0, 180) and on (180, 360), so (quadrant class, -dot/cross) orders
-    arcs exactly without any trigonometry.
-    """
-    cross = u[0] * v[1] - u[1] * v[0]
-    dotp = u[0] * v[0] + u[1] * v[1]
-    if cross == 0:
-        return (0, Fraction(0)) if dotp > 0 else (2, Fraction(0))
-    if cross > 0:
-        return (1, -Fraction(dotp) / Fraction(cross))
-    return (3, -Fraction(dotp) / Fraction(cross))
+    polygon = [tuple(map(Fraction, c)) for c in corners]
+    for n in cone.inequalities:
+        kept = []
+        for p, q in zip(polygon, polygon[1:] + polygon[:1]):
+            a, b = dot(n, p), dot(n, q)
+            if a >= 0:
+                kept.append(p)
+            if a * b < 0:
+                cut = tuple(u + (v - u) * a / (a - b) for u, v in zip(p, q))
+                if cut not in kept:  # a segment, traversed both ways, crosses twice
+                    kept.append(cut)
+        polygon = kept
+    return polygon
 
 
 def _svg(parts):

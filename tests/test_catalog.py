@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sphertrop import lattice
 from sphertrop.balance import check_balancing
 from sphertrop.catalog import (
     CurveFixture,
@@ -27,6 +28,18 @@ def test_builtin_space_examples():
     assert sl2u.palette == (("E1", (1,)),)
     gl3 = builtin_space("gln", 3)
     assert gl3.palette == (("E2", (-1, 1, 0)), ("E3", (0, -1, 1)))
+
+
+def test_whole_space_cones_run_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fourier-Motzkin step run")
+
+    lattice._prune.cache_clear()  # a memoised answer would hide an elimination
+    lattice._dual.cache_clear()
+    monkeypatch.setattr(lattice, "_eliminate", refuse)
+    for space, n in ((builtin_space("torus", 128), 128), (builtin_space("sl2_u"), 1)):
+        assert space.valuation_cone.inequalities == ()
+        assert space.valuation_cone.generators == tuple(sorted(lattice.signed_basis(n)))
 
 
 def test_builtin_space_shapes():

@@ -1,7 +1,10 @@
 import copy
 import json
+import os
 import pathlib
 import random
+import re
+import subprocess
 import sys
 import time
 
@@ -551,6 +554,25 @@ def test_plot_deterministic(tmp_path, capsys):
     assert svg == out2.read_text()
     assert svg.startswith("<svg")
     assert ">2</text>" in svg and ">1</text>" in svg  # the ray weight labels
+
+
+def test_plot_fixtures_through_the_entry_point(tmp_path):
+    """Each fixture the catalog/1 table lists with ``plot`` draws through ``python -m``."""
+    root = pathlib.Path(__file__).parents[1]
+    table = (root / "docs" / "formats.md").read_text()
+    names = re.findall(r"^\| `(\w+)` \| [^|]+ \| [^|]*`plot`[^|]* \|$", table, re.M)
+    assert names == ["gl2_fig1_fan", "gl2_line_curve", "torus_line_curve"]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    for name in names:
+        out = tmp_path / (name + ".svg")
+        done = subprocess.run(
+            [sys.executable, "-m", "sphertrop", "plot", "--fixture", name, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", ""), name
+        assert out.read_text().count("<polygon") == 1, name
 
 
 def test_plot_rank1(tmp_path, capsys):
