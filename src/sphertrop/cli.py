@@ -77,7 +77,7 @@ def _fixture_doc(name):
     try:
         return catalog._load_fixture_doc(name)
     except KeyError as exc:
-        raise _CliInputError(str(exc)) from None
+        raise _CliInputError(exc.args[0]) from None
 
 
 def _input_doc(args):
@@ -128,7 +128,7 @@ def cmd_trop(args):
     try:
         family, n = catalog.parse_space_id(space_id)
     except KeyError as exc:
-        raise _CliInputError(str(exc)) from None
+        raise _CliInputError(exc.args[0]) from None
     branch = _parse_coordinates(coordinates)
     arity = coordinate_count(family, n)
     if len(branch.coords) != arity:
@@ -137,12 +137,7 @@ def cmd_trop(args):
             % (space_id, documents.rational_to_str(arity), len(branch.coords))
         )
     space = catalog.builtin_space(family, n)  # built only once the arity fits
-    try:
-        point = trop_point(space, branch)
-    except OffSpaceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DOMAIN
-    _emit(documents.tropical_point_to_doc(point), args)
+    _emit(documents.tropical_point_to_doc(trop_point(space, branch)), args)
     return EXIT_OK
 
 
@@ -166,6 +161,7 @@ def cmd_fan(args):
             raise _CliInputError("star needs --cone-index")
         if not 0 <= args.cone_index < len(fan.cones):
             raise _CliInputError("cone index %d out of range" % args.cone_index)
+        member = fan.cones[args.cone_index]
         survivors = None
         if args.colors is not None:
             try:
@@ -174,12 +170,9 @@ def cmd_fan(args):
                 )
             except KeyError as exc:
                 raise _CliInputError(exc.args[0]) from None
-        try:
-            result = star(fan, fan.cones[args.cone_index], survivors)
-        except (InvalidColoredConeError, ValueError) as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_DOMAIN
-        _emit(documents.star_to_doc(result), args)
+        elif member.colors:
+            raise _CliInputError("cone %d has colors: star needs --colors" % args.cone_index)
+        _emit(documents.star_to_doc(star(fan, member, survivors)), args)
         return EXIT_OK
     raise AssertionError(args.action)
 
@@ -189,27 +182,14 @@ def _weighted_fan_from_input(doc):
         return documents.weighted_fan_from_doc(doc)
     if doc["format"] == "curve/1":
         space, branches, colored, _ = documents.curve_from_doc(doc)
-        try:
-            rays = branch_rays(space, branches)
-        except (OffSpaceError, NonIntegerRayError) as exc:
-            raise _DomainError(str(exc)) from None
-        return assemble(space, rays, colored)
+        return assemble(space, branch_rays(space, branches), colored)
     raise documents.DocumentError(
         "balance expects a weighted-fan/1 or curve/1 document, got %r" % doc["format"]
     )
 
 
-class _DomainError(Exception):
-    pass
-
-
 def cmd_balance(args):
-    doc = _input_doc(args)
-    try:
-        wf = _weighted_fan_from_input(doc)
-    except _DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DOMAIN
+    wf = _weighted_fan_from_input(_input_doc(args))
     if args.action == "check":
         report = check_balancing(wf)
         _emit(documents.balance_report_to_doc(report), args)
@@ -314,18 +294,16 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one command; every failure is mapped to its exit code here."""
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        documents.DocumentError,
-        PuiseuxParseError,
-        _CliInputError,
-        plotting.PlotError,
-        json.JSONDecodeError,
-    ) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+    except (documents.DocumentError, PuiseuxParseError, _CliInputError, plotting.PlotError) as exc:
+        failure, code = exc, EXIT_INPUT
+    except (OffSpaceError, NonIntegerRayError, InvalidColoredConeError) as exc:
+        failure, code = exc, EXIT_DOMAIN
+    print("error: %s" % failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -123,7 +123,7 @@ def space_from_doc(doc):
         try:
             return catalog.space_by_id(_shaped(doc["builtin"], str, "'builtin'"))
         except KeyError as exc:
-            raise DocumentError(str(exc)) from None
+            raise DocumentError(exc.args[0]) from None
     _check_format(doc, "space/1")
     rank = _require(doc, "rank")
     if type(rank) is not int or rank < 1:
@@ -196,7 +196,7 @@ def fan_from_doc(doc):
             try:
                 colors.add(space.color_index(label))
             except KeyError as exc:
-                raise DocumentError(str(exc)) from None
+                raise DocumentError(exc.args[0]) from None
         cones.append(ColoredCone(cone, frozenset(colors)))
     return ColoredFan(space, tuple(cones))
 
@@ -241,7 +241,7 @@ def _colored_weights_from_doc(entries, space):
         try:
             j = space.color_index(label)
         except KeyError as exc:
-            raise DocumentError(str(exc)) from None
+            raise DocumentError(exc.args[0]) from None
         weight = integer_from_str(_require(entry, "weight"))
         if weight < 0:
             raise DocumentError("colored weight %d for %s is negative" % (weight, label))

@@ -31,6 +31,24 @@ def curve_file(tmp_path):
     return str(path)
 
 
+# gln2 with its one color E2 = (-1, 1) on the cone over (-1, 1) and (1, 0)
+COLORED_GLN2_FAN = {
+    "format": "fan/1",
+    "space": {"builtin": "gln2"},
+    "cones": [
+        {"generators": [["-1", "1"], ["1", "0"]], "colors": ["E2"]},
+        {"generators": [["1", "0"]], "colors": []},
+        {"generators": [], "colors": []},
+    ],
+}
+
+
+def _colored_fan_file(tmp_path):
+    path = tmp_path / "colored.json"
+    path.write_text(json.dumps(COLORED_GLN2_FAN))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -50,6 +68,9 @@ def test_trop_gln2_matrix(capsys):
 
 def test_trop_torus_vector(capsys):
     code, out, _ = run(capsys, "trop", "torus2", "(t^2, t^-1)")
+    assert code == 0
+    assert json.loads(out)["coords"] == ["2", "-1"]
+    code, out, _ = run(capsys, "trop", "torus2", "[t^2, t^-1]")
     assert code == 0
     assert json.loads(out)["coords"] == ["2", "-1"]
 
@@ -111,6 +132,25 @@ def test_fan_star(capsys, fan_file):
     assert gens == [(), (("1",),)]
 
 
+def test_fan_star_with_surviving_colors(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "fan", "star", _colored_fan_file(tmp_path), "--cone-index", "1", "--colors", "E2"
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["projection"] == [["0", "1"]]
+    assert doc["kernel_basis"] == [["1", "0"]]
+    assert doc["space"]["palette"] == [{"label": "E2", "vector": ["1"]}]
+    assert doc["fan"]["cones"] == [
+        {"colors": [], "generators": []},
+        {"colors": ["E2"], "generators": [["1"]]},
+    ]
+    path = tmp_path / "quotient.json"
+    path.write_text(json.dumps(doc["fan"]))
+    code, out, _ = run(capsys, "fan", "validate", str(path))
+    assert (code, json.loads(out)["valid"]) == (0, True)
+
+
 def test_fan_star_bad_index(capsys, fan_file):
     code, _, err = run(capsys, "fan", "star", fan_file, "--cone-index", "99")
     assert code == 2
@@ -139,8 +179,8 @@ def _fan_doc_with(tmp_path, edit):
     return ["fan", "validate", str(path)]
 
 
-def _curve_doc_with(tmp_path, edit):
-    doc = _load_fixture_doc("gl2_line_curve")
+def _curve_doc_with(tmp_path, edit, fixture="gl2_line_curve"):
+    doc = _load_fixture_doc(fixture)
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -357,25 +397,86 @@ def test_bad_input_is_exit_2(capsys, tmp_path, case):
 
 
 INPUT_ERROR_TEXTS = {
-    "trop_without_arguments": (["trop"], "trop needs a space id and coordinates"),
-    "trop_without_coordinates": (["trop", "torus2"], "trop needs a space id and coordinates"),
-    "trop_unknown_space": (["trop", "torus9x", "(t)"], "\"unknown space id 'torus9x'\""),
-    "trop_torus0": (["trop", "torus0", "(t)"], "\"unknown space id 'torus0'\""),
-    "trop_unbalanced_parenthesis": (["trop", "torus2", "((1,2"], "unbalanced '(' in '((1'"),
-    "trop_malformed_term": (["trop", "torus2", "(3 t, 1)"], "malformed Puiseux polynomial '3 t'"),
-    "star_without_index": (["fan", "star", "--fixture", "gl2_fig1_fan"], "star needs --cone-index"),
+    "trop_without_arguments": (lambda tmp: ["trop"], "trop needs a space id and coordinates"),
+    "trop_without_coordinates": (lambda tmp: ["trop", "torus2"], "trop needs a space id and coordinates"),
+    "trop_unknown_space": (lambda tmp: ["trop", "torus9x", "(t)"], "unknown space id 'torus9x'"),
+    "trop_torus0": (lambda tmp: ["trop", "torus0", "(t)"], "unknown space id 'torus0'"),
+    "trop_unbalanced_parenthesis": (lambda tmp: ["trop", "torus2", "((1,2"], "unbalanced '(' in '((1'"),
+    "trop_malformed_term": (lambda tmp: ["trop", "torus2", "(3 t, 1)"], "malformed Puiseux polynomial '3 t'"),
+    "trop_empty_parentheses": (lambda tmp: ["trop", "torus2", "()"], "empty coordinate list"),
+    "trop_empty_brackets": (lambda tmp: ["trop", "torus2", "[]"], "empty coordinate list"),
+    "star_without_index": (
+        lambda tmp: ["fan", "star", "--fixture", "gl2_fig1_fan"], "star needs --cone-index"
+    ),
     "star_index_out_of_range": (
-        ["fan", "star", "--fixture", "gl2_fig1_fan", "--cone-index", "99"],
+        lambda tmp: ["fan", "star", "--fixture", "gl2_fig1_fan", "--cone-index", "99"],
         "cone index 99 out of range",
+    ),
+    "star_colored_member_without_colors": (
+        lambda tmp: ["fan", "star", _colored_fan_file(tmp), "--cone-index", "0"],
+        "cone 0 has colors: star needs --colors",
+    ),
+    "unknown_fixture": (lambda tmp: ["fan", "validate", "--fixture", "nope"], "unknown fixture 'nope'"),
+    "fan_unknown_builtin": (
+        lambda tmp: _fan_doc_with(tmp, lambda doc: doc.update(space={"builtin": "foo"})),
+        "unknown space id 'foo'",
+    ),
+    "fan_unknown_color_label": (
+        lambda tmp: _fan_doc_with(tmp, lambda doc: doc["cones"][-1].update(colors=["BOGUS"])),
+        "unknown color label 'BOGUS'",
+    ),
+    "curve_unknown_color_label": (
+        lambda tmp: _curve_doc_with(tmp, lambda doc: doc["colored_weights"][0].update(color="BOGUS")),
+        "unknown color label 'BOGUS'",
+    ),
+    "curve_branch_without_coordinates": (
+        lambda tmp: _curve_doc_with(tmp, lambda doc: doc["branches"].__setitem__(0, {})),
+        "branch needs 'coords' or 'matrix'",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERROR_TEXTS))
-def test_input_error_text(capsys, case):
+def test_input_error_text(capsys, tmp_path, case):
     argv, message = INPUT_ERROR_TEXTS[case]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def _torus_curve_with_branch(tmp, coords):
+    return _curve_doc_with(
+        tmp, lambda doc: doc["branches"].__setitem__(0, {"coords": coords}), "torus_line_curve"
+    )
+
+
+DOMAIN_ERROR_TEXTS = {
+    "trop_vanishing_coordinate": (
+        lambda tmp: ["trop", "torus2", "(0, t)"],
+        "coordinate 0 vanishes: point is off the torus",
+    ),
+    "curve_vanishing_coordinate": (
+        lambda tmp: _torus_curve_with_branch(tmp, ["0", "t"]),
+        "coordinate 0 vanishes: point is off the torus",
+    ),
+    "curve_non_integer_ray": (
+        lambda tmp: _torus_curve_with_branch(tmp, ["t^(1/2)", "1"]),
+        "tropical point (Fraction(1, 2), Fraction(0, 1)) is fractional; rescale the branch parameter",
+    ),
+    "star_of_invalid_fan": (
+        # without the ray (-1, -1), a face of the member at index 3, the fan breaks CF1
+        lambda tmp: [
+            "fan", "star", _fan_doc_with(tmp, lambda doc: doc["cones"].pop(1))[-1], "--cone-index", "0"
+        ],
+        "[CF1] member=3 colored face [(-1, -1)] with colors [] is missing from the fan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_ERROR_TEXTS))
+def test_domain_error_text(capsys, tmp_path, case):
+    argv, message = DOMAIN_ERROR_TEXTS[case]
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("coords", ["(1/0, 1)", "(1/00*t, 1)", "(t^(1/0), 1)"])
@@ -411,14 +512,25 @@ def test_result_over_digit_limit_names_the_limit(capsys, tmp_path):
 
 FUZZ_CASES = 300
 FUZZ_CASE_SECONDS = 2.0
-FUZZ_COMMANDS = (["fan", "validate"], ["fan", "decolor"], ["balance", "check"], ["balance", "solve-colors"])
+# (command, flags): each run is the command, the document's path, then the flags
+FUZZ_COMMANDS = (
+    (["fan", "validate"], []),
+    (["fan", "decolor"], []),
+    (["fan", "star"], ["--cone-index", "0"]),
+    (["fan", "star"], ["--cone-index", "1", "--colors", "E2"]),
+    (["balance", "check"], []),
+    (["balance", "solve-colors"], []),
+    (["plot"], ["--out", os.devnull]),
+)
 JSON_VALUES = (None, True, 0, 3, "x", "1", [], {})
 
 
 def _fuzz_bases():
-    """The fan, weighted fan and curve fixtures as documents with their space written out."""
+    """The fan, weighted fan and curve fixtures, and the colored gln2 fan, as
+    documents with their space written out."""
     docs = [
         documents.fan_to_doc(reference_fixture("gl2_fig1_fan")),
+        documents.fan_to_doc(documents.fan_from_doc(COLORED_GLN2_FAN)),
         documents.weighted_fan_to_doc(sl2u_family(3, 1)),
     ]
     for name in ("gl2_line_curve", "torus_line_curve"):
@@ -474,9 +586,9 @@ def test_mutated_fixture_documents_exit_cleanly(capsys, tmp_path):
         doc, edit = _mutated(rng, rng.choice(bases))
         path.write_text(json.dumps(doc))
         started = time.perf_counter()
-        for command in FUZZ_COMMANDS:
+        for command, flags in FUZZ_COMMANDS:
             try:
-                code = main([*command, str(path)])
+                code = main([*command, str(path), *flags])
             except Exception as exc:
                 pytest.fail("case %d (%s): %s raised %r" % (case, edit, command, exc))
             capsys.readouterr()

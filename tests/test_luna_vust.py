@@ -242,6 +242,17 @@ def test_star_errors():
     assert result.space.rank == 0
 
 
+def test_star_with_surviving_colors():
+    fan = ColoredFan(GL2, (cc([(-1, 1), (1, 0)], {E}), cc([(1, 0)]), cc([])))
+    result = star(fan, cc([(1, 0)]), restriction_colors={E})
+    assert result.projection == ((0, 1),)
+    assert result.kernel_basis == ((1, 0),)
+    assert result.space.palette == (("E2", (1,)),)
+    members = sorted((m.cone.generators, m.colors) for m in result.fan.cones)
+    assert members == [((), frozenset()), (((1,),), frozenset({0}))]
+    assert validate_colored_fan(result.fan).ok
+
+
 def test_star_skips_a_member_whose_face_has_other_colors(monkeypatch):
     # The quadrant colored by C = (1, 0) has the colored face ((1, 0), {C}),
     # not the member ((1, 0), {}).  A valid fan cannot hold both (CF1 asks
