@@ -138,7 +138,7 @@ def space_from_doc(doc):
     valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank)
     palette = []
     for entry in _shaped(doc.get("palette", []), list, "'palette'"):
-        label = str(_require(entry, "label"))
+        label = _shaped(_require(entry, "label"), str, "'label'")
         vector = int_vector_from_doc(_require(entry, "vector"))
         if len(vector) != rank:
             raise DocumentError("palette vector %r needs %d entries" % (entry["vector"], rank))
@@ -194,7 +194,7 @@ def fan_from_doc(doc):
         colors = set()
         for label in _shaped(entry.get("colors", []), list, "'colors'"):
             try:
-                colors.add(space.color_index(label))
+                colors.add(space.color_index(_shaped(label, str, "a 'colors' entry")))
             except KeyError as exc:
                 raise DocumentError(exc.args[0]) from None
         cones.append(ColoredCone(cone, frozenset(colors)))
@@ -237,7 +237,7 @@ def weighted_fan_from_doc(doc):
 def _colored_weights_from_doc(entries, space):
     colored = []
     for entry in _shaped(entries, list, "'colored_weights'"):
-        label = _require(entry, "color")
+        label = _shaped(_require(entry, "color"), str, "'color'")
         try:
             j = space.color_index(label)
         except KeyError as exc:

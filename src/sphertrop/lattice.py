@@ -199,91 +199,60 @@ def _swap_cols(D, V, j, k):
         row[j], row[k] = row[k], row[j]
 
 
-def _snf(A):
-    """Smith normal form: (U, D, V) with ``U A V = D``.
+def smith_normal_form(A):
+    """Return (U, D, V) with ``U A V = D`` in Smith normal form.
 
-    U, V unimodular; D diagonal with nonnegative entries satisfying
-    d1 | d2 | ... .  Deterministic: pivots are the smallest-magnitude nonzero
-    entries, ties broken in row-major order.
+    U and V are unimodular; D is diagonal, nonnegative, with each diagonal
+    entry dividing the next.  One pass places the diagonal entries in turn.
+    At each position the pivot is the smallest-magnitude nonzero entry of
+    the remaining block, ties broken in row-major order; row operations
+    clear its column, column operations its row, and a remainder left by
+    either picks a new pivot.  Once both are clear, the first row (in
+    row-major order) holding an entry the pivot does not divide is added to
+    the pivot row and the position is pivoted again, so each placed entry
+    divides the whole block after it.  Its sign is fixed as it is placed.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     D = [[int(a) for a in row] for row in A]
     U = identity_matrix(m)
     V = identity_matrix(n)
-
-    def pick_pivot(k):
-        best = None
-        where = None
-        for i in range(k, m):
-            for j in range(k, n):
-                a = D[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    where = (i, j)
-        return where
-
-    def reduce_at(k):
-        # Clear row k and column k beyond the diagonal, pivoting at (k, k).
+    for k in range(min(m, n)):
         while True:
-            where = pick_pivot(k)
+            best = where = None
+            for i in range(k, m):
+                for j in range(k, n):
+                    a = D[i][j]
+                    if a != 0 and (best is None or abs(a) < best):
+                        best, where = abs(a), (i, j)
             if where is None:
-                return False
+                return U, D, V
             _swap_rows(D, U, k, where[0])
             _swap_cols(D, V, k, where[1])
+            p = D[k][k]
             dirty = False
             for i in range(k + 1, m):
                 if D[i][k] != 0:
-                    q = D[i][k] // D[k][k]
-                    _row_op(D, U, i, k, q)
+                    _row_op(D, U, i, k, D[i][k] // p)
                     if D[i][k] != 0:
                         dirty = True
             for j in range(k + 1, n):
                 if D[k][j] != 0:
-                    q = D[k][j] // D[k][k]
-                    _col_op(D, V, j, k, q)
+                    _col_op(D, V, j, k, D[k][j] // p)
                     if D[k][j] != 0:
                         dirty = True
-            if not dirty:
-                return True
-
-    k = 0
-    limit = min(m, n)
-    while k < limit:
-        if not reduce_at(k):
-            break
-        k += 1
-    rank = k
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    i = 0
-    while i < rank - 1:
-        a, b = D[i][i], D[i + 1][i + 1]
-        if b % a != 0:
-            # Fold d_{i+1} into column i and re-reduce from position i.
-            _col_op(D, V, i, i + 1, -1)
-            j = i
-            while j < rank:
-                reduce_at(j)
-                j += 1
-            i = 0
-            continue
-        i += 1
-
-    for i in range(rank):
-        if D[i][i] < 0:
-            D[i] = [-a for a in D[i]]
-            U[i] = [-a for a in U[i]]
+            if dirty:
+                continue
+            for i in range(k + 1, m):
+                if any(a % p for a in D[i][k + 1 :]):
+                    _row_op(D, U, k, i, -1)
+                    break
+            else:
+                break
+        if D[k][k] < 0:
+            D[k] = [-a for a in D[k]]
+            U[k] = [-a for a in U[k]]
     return U, D, V
-
-
-def smith_normal_form(A):
-    """Return (U, D, V) with ``U A V = D`` in Smith normal form.
-
-    U and V are unimodular; D is diagonal, nonnegative, with each diagonal
-    entry dividing the next.  Output is deterministic for fixed input.
-    """
-    return _snf(A)
 
 
 def _span_snf(vs, dim):
@@ -292,7 +261,7 @@ def _span_snf(vs, dim):
         if len(v) != dim:
             raise ValueError("vector %r does not live in Z^%d" % (v, dim))
     A = [[int(v[i]) for v in vs] for i in range(dim)]
-    U, D, V = _snf(A)
+    U, D, V = smith_normal_form(A)
     rank = sum(1 for i in range(min(dim, len(vs))) if D[i][i] != 0)
     return A, U, D, V, rank
 
@@ -541,9 +510,10 @@ class Cone:
     the same exact test that prunes redundant normals, and the pruning is
     memoised on the sorted distinct directions, so rebuilding a cone from
     generators seen before costs no elimination.  The inequality description
-    is kept on the instance: :meth:`from_inequalities` keeps the pruned
-    normals it was given (and their dual description as the generators),
-    else it is computed lazily, once per instance, by
+    is kept on the instance: :meth:`from_inequalities` passes the pruned
+    normals it was given as the private ``_normals``, with their dual
+    description as the generators, which are then not pruned again; else it
+    is computed lazily, once per instance, by
     :func:`dual_description` (itself memoised).  The zero cone has an empty
     generator list.  Instances are immutable; equality is set equality:
     equal generator tuples, else mutual containment.  The stored generators
@@ -557,17 +527,17 @@ class Cone:
 
     __slots__ = ("ambient_dim", "generators", "_normals", "_hash")
 
-    def __init__(self, generators, ambient_dim=None):
+    def __init__(self, generators, ambient_dim=None, _normals=None):
         gens = list(generators)
         if ambient_dim is None:
             if not gens:
                 raise ValueError("ambient dimension required for the zero cone")
             ambient_dim = len(gens[0])
+        if _normals is None:
+            gens = _irredundant(_directions(gens, ambient_dim), ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(
-            self, "generators", _irredundant(_directions(gens, ambient_dim), ambient_dim)
-        )
-        object.__setattr__(self, "_normals", None)
+        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_normals", _normals)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -583,13 +553,7 @@ class Cone:
         only needs sorting, with no elimination at all.
         """
         pruned = _irredundant(_directions(normals, ambient_dim), ambient_dim)
-        generators = tuple(sorted(dual_description(pruned, ambient_dim)))
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "ambient_dim", ambient_dim)
-        object.__setattr__(cone, "generators", generators)
-        object.__setattr__(cone, "_normals", pruned)
-        object.__setattr__(cone, "_hash", None)
-        return cone
+        return cls(sorted(dual_description(pruned, ambient_dim)), ambient_dim, pruned)
 
     @property
     def inequalities(self):

@@ -429,6 +429,28 @@ INPUT_ERROR_TEXTS = {
         lambda tmp: _curve_doc_with(tmp, lambda doc: doc["colored_weights"][0].update(color="BOGUS")),
         "unknown color label 'BOGUS'",
     ),
+    "fan_color_label_not_a_string": (
+        lambda tmp: _fan_doc_with(tmp, lambda doc: doc["cones"][-1].update(colors=[[]])),
+        "a 'colors' entry must be a JSON string, got []",
+    ),
+    "fan_palette_label_not_a_string": (
+        lambda tmp: _fan_doc_with(tmp, lambda doc: doc["space"]["palette"][0].update(label=3)),
+        "'label' must be a JSON string, got 3",
+    ),
+    "weighted_fan_color_not_a_string": (
+        lambda tmp: _weighted_fan_file(
+            tmp,
+            json.dumps(
+                {
+                    "format": "weighted-fan/1",
+                    "space": {"builtin": "sl2u"},
+                    "rays": [{"vector": ["-1"], "weight": "1"}],
+                    "colored_weights": [{"color": 3, "weight": "1"}],
+                }
+            ),
+        ),
+        "'color' must be a JSON string, got 3",
+    ),
     "curve_branch_without_coordinates": (
         lambda tmp: _curve_doc_with(tmp, lambda doc: doc["branches"].__setitem__(0, {})),
         "branch needs 'coords' or 'matrix'",

@@ -5,8 +5,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphertrop import lattice
+from sphertrop.catalog import builtin_space
 from sphertrop.lattice import (
     Cone,
     ZeroVectorError,
@@ -97,8 +99,8 @@ def assert_snf_contract(A):
         for j in range(n):
             if i != j:
                 assert D[i][j] == 0
+    assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
-        assert a >= 0 and b >= 0
         if a != 0:
             assert b % a == 0
         else:
@@ -135,6 +137,69 @@ def test_snf_deterministic():
     assert smith_normal_form(A) == smith_normal_form([row[:] for row in A])
 
 
+MATRICES = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda mn: st.lists(
+        st.lists(st.integers(-30, 30), min_size=mn[1], max_size=mn[1]), min_size=mn[0], max_size=mn[0]
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(MATRICES)
+def test_snf_contract_property(A):
+    assert_snf_contract(A)
+
+
+def _palette_matrix(vectors, rank):
+    return [[v[i] for v in vectors] for i in range(rank)]
+
+
+# (U, D, V) recorded before the Smith form became one pass; on these inputs
+# every pivot divides the block after it, so the operations are unchanged.
+PINNED_SNF = {
+    "gln2": (
+        _palette_matrix([v for _, v in builtin_space("gln", 2).palette], 2),
+        ([[-1, 0], [1, 1]], [[1], [0]], [[1]]),
+    ),
+    "gln3": (
+        _palette_matrix([v for _, v in builtin_space("gln", 3).palette], 3),
+        ([[-1, 0, 0], [-1, -1, 0], [1, 1, 1]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0, 1]]),
+    ),
+    "gln4": (
+        _palette_matrix([v for _, v in builtin_space("gln", 4).palette], 4),
+        (
+            [[-1, 0, 0, 0], [-1, -1, 0, 0], [-1, -1, -1, 0], [1, 1, 1, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        ),
+    ),
+    "gln5": (
+        _palette_matrix([v for _, v in builtin_space("gln", 5).palette], 5),
+        (
+            [[-1, 0, 0, 0, 0], [-1, -1, 0, 0, 0], [-1, -1, -1, 0, 0], [-1, -1, -1, -1, 0], [1, 1, 1, 1, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        ),
+    ),
+    "dep4": (
+        _palette_matrix([(1, 0), (0, 1), (1, 1), (1, 2)], 2),
+        ([[1, 0], [0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, -1, -1], [0, 1, -1, -2], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ),
+    "ray2": ([[2], [-3]], ([[2, 1], [-3, -2]], [[1], [0]], [[1]])),
+    "ray3": ([[3], [-1], [2]], ([[0, -1, 0], [1, 3, 0], [0, 2, 1]], [[1], [0], [0]], [[1]])),
+    "ray4": (
+        [[1], [4], [-2], [3]],
+        ([[1, 0, 0, 0], [-4, 1, 0, 0], [2, 0, 1, 0], [-3, 0, 0, 1]], [[1], [0], [0], [0]], [[1]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SNF))
+def test_snf_pinned_on_bench_shapes(case):
+    A, expected = PINNED_SNF[case]
+    assert smith_normal_form(A) == expected
+
+
 # --- quotient projection ---------------------------------------------------
 
 
@@ -142,6 +207,8 @@ def test_quotient_projection_examples():
     assert quotient_projection([(-1, 1)], 2) == [(1, 1)]
     assert quotient_projection([], 2) == [(1, 0), (0, 1)]
     assert quotient_projection([(2, 0)], 2) == [(0, 1)]
+    # along a torus3 ray the projection has two rows, and no choice of them is unique; pinned
+    assert quotient_projection([(2, -1, 3)], 3) == [(1, 2, 0), (0, 3, 1)]
 
 
 def test_quotient_projection_properties():
