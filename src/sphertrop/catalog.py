@@ -40,7 +40,7 @@ def builtin_space(name, n=None):
             character_basis_labels=tuple("x%d" % (i + 1) for i in range(n)),
             family="torus",
         )
-    if name in ("sl2_u", "sl2u"):
+    if name == "sl2_u":
         return SphericalSpace(
             name="sl2u",
             rank=1,
@@ -207,7 +207,7 @@ def character_function(space, index):
     if space.family == "sl2_u":
         return lambda branch: (branch.coords[1], one)
     if space.family == "gln":
-        n = space.family_size
+        n = space.rank
         i = index + 1
 
         def evaluate(branch):

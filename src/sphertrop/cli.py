@@ -94,16 +94,18 @@ _ROW_RE = re.compile(r"\[([^][]*)\]")
 _MATRIX_RE = re.compile(r"\[\s*\[[^][]*\](\s*,\s*\[[^][]*\])*\s*\]")
 
 
+def _cells(text):
+    """The Puiseux polynomials of a comma-separated list; an empty cell is a parse error."""
+    return [parse_puiseux(cell) for cell in text.split(",")]
+
+
 def _parse_coordinates(text):
     """A vector ``(p1, p2, ...)`` or matrix ``[[p11, ...], ...]`` of polynomials."""
     stripped = text.strip()
     if re.match(r"\[\s*\[", stripped):
         if not _MATRIX_RE.fullmatch(stripped):
             raise _CliInputError("malformed matrix literal: expected [[...], ..., [...]]")
-        matrix = [
-            [parse_puiseux(cell) for cell in row.split(",")]
-            for row in _ROW_RE.findall(stripped)
-        ]
+        matrix = [_cells(row) for row in _ROW_RE.findall(stripped)]
         try:
             return CurveBranch.from_matrix(matrix)
         except ValueError as exc:
@@ -112,17 +114,13 @@ def _parse_coordinates(text):
         stripped = stripped[1:-1]
     elif stripped.startswith("[") and stripped.endswith("]"):
         stripped = stripped[1:-1]
-    cells = [cell for cell in stripped.split(",") if cell.strip()]
-    if not cells:
+    if not stripped.strip():
         raise _CliInputError("empty coordinate list")
-    return CurveBranch(tuple(parse_puiseux(cell) for cell in cells))
+    return CurveBranch(tuple(_cells(stripped)))
 
 
 def cmd_trop(args):
-    space_id = args.space_flag or args.space
-    coordinates = args.coordinates
-    if args.space_flag and coordinates is None:
-        coordinates = args.space  # the lone positional is the coordinates
+    space_id, coordinates = args.space, args.coordinates
     if not space_id or not coordinates:
         raise _CliInputError("trop needs a space id and coordinates")
     try:
@@ -255,7 +253,6 @@ def build_parser():
     p_trop = sub.add_parser("trop", help="tropicalize a point or matrix over the Puiseux field")
     p_trop.add_argument("space", nargs="?", help="space id, e.g. torus2, sl2u, gln2")
     p_trop.add_argument("coordinates", nargs="?", help="vector '(t, 1-t)' or matrix '[[t+1,t],[t,0]]'")
-    p_trop.add_argument("--space", dest="space_flag", help="space id (alternative to the positional)")
     _common_output_flags(p_trop)
     p_trop.set_defaults(handler=cmd_trop)
 

@@ -106,7 +106,8 @@ def space_to_doc(space):
         "name": space.name,
         "rank": space.rank,
         "family": space.family,
-        "family_size": space.family_size,
+        # n for torus(n) and gln(n), 2 for sl2_u (its group is SL2), else None
+        "family_size": {"torus": space.rank, "gln": space.rank, "sl2_u": 2}.get(space.family),
         "valuation_cone": {"generators": [vector_to_doc(g) for g in space.valuation_cone.generators]},
         "palette": [
             {"label": label, "vector": vector_to_doc(v)} for label, v in space.palette
@@ -255,10 +256,9 @@ def _colored_weights_from_doc(entries, space):
 
 def _branch_to_doc(branch, space):
     if space.family == "gln":
-        n = space.family_size
         return {
             "matrix": [
-                [format_puiseux(p) for p in row] for row in branch.matrix(n)
+                [format_puiseux(p) for p in row] for row in branch.matrix(space.rank)
             ]
         }
     return {"coords": [format_puiseux(p) for p in branch.coords]}

@@ -26,7 +26,7 @@ order and the dimension; :meth:`Cone.faces` on the cone's generators and
 the dimension, so each face lattice is built once and its faces keep the
 normals they compute; :func:`relint_meets` on the first cone's generators
 and the second cone's normals; :func:`relint_common_point` on both cones'
-generators, the region's normals (or None) and the dimension; inside it, a
+generators, the region's normals and the dimension; inside it, a
 separating normal of either cone, read through the
 :func:`dual_description` memo, decides a disjoint pair before any
 elimination.  The memos sit in private helpers below the public names, so
@@ -210,8 +210,11 @@ def smith_normal_form(A):
     either picks a new pivot.  Once both are clear, the first row (in
     row-major order) holding an entry the pivot does not divide is added to
     the pivot row and the position is pivoted again, so each placed entry
-    divides the whole block after it.  Its sign is fixed as it is placed.
+    divides the whole block after it; a pivot of +-1 divides it all and skips
+    that scan.  Its sign is fixed as it is placed.  Non-integer entries raise TypeError.
     """
+    if any(not isinstance(a, int) for row in A for a in row):
+        raise TypeError("smith_normal_form() expects integer entries, got %r" % (A,))
     m = len(A)
     n = len(A[0]) if m else 0
     D = [[int(a) for a in row] for row in A]
@@ -243,6 +246,8 @@ def smith_normal_form(A):
                         dirty = True
             if dirty:
                 continue
+            if abs(p) == 1:
+                break
             for i in range(k + 1, m):
                 if any(a % p for a in D[i][k + 1 :]):
                     _row_op(D, U, k, i, -1)
@@ -260,7 +265,7 @@ def _span_snf(vs, dim):
     for v in vs:
         if len(v) != dim:
             raise ValueError("vector %r does not live in Z^%d" % (v, dim))
-    A = [[int(v[i]) for v in vs] for i in range(dim)]
+    A = [[v[i] for v in vs] for i in range(dim)]
     U, D, V = smith_normal_form(A)
     rank = sum(1 for i in range(min(dim, len(vs))) if D[i][i] != 0)
     return A, U, D, V, rank
@@ -648,13 +653,12 @@ def relint_meets(cone_a, cone_b):
 
     Decided exactly: relint(cone_a) is the set of strictly positive
     combinations of its generators, and by homogeneity strict positivity
-    can be normalized to ``lambda_i >= 1``.  No witness is built; the answer
-    is memoised on ``cone_a``'s generators and ``cone_b``'s normals.
+    can be normalized to ``lambda_i >= 1``; for the zero cone every row
+    reads ``0 >= 0``, so it meets every cone.  No witness is built; the
+    answer is memoised on ``cone_a``'s generators and ``cone_b``'s normals.
     """
     if cone_b.ambient_dim != cone_a.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if not cone_a.generators:
-        return True  # relint({0}) = {0}, and 0 is in every cone
     return _relint_meets(cone_a.generators, cone_b.inequalities)
 
 
@@ -665,19 +669,18 @@ def _relint_meets(gens, normals):
     return _project(_integer_rows(rows, len(gens)), len(gens)) is not None
 
 
-def relint_common_point(cone_a, cone_b, region=None):
-    """Exact rational point in relint(a) & relint(b) (& region), or None.
+def relint_common_point(cone_a, cone_b, region):
+    """Exact rational point in relint(a) & relint(b) & region, or None.
 
     A normal of one cone positive on one of its own generators and at most 0
     on every generator of the other separates the relative interiors; such a
     pair gets None with no elimination.  Memoised on both cones' generators,
-    the region's normals (None without one) and the dimension.
+    the region's normals and the dimension.
     """
     dim = cone_a.ambient_dim
-    if cone_b.ambient_dim != dim or (region is not None and region.ambient_dim != dim):
+    if cone_b.ambient_dim != dim or region.ambient_dim != dim:
         raise ValueError("ambient dimension mismatch")
-    normals = None if region is None else region.inequalities
-    return _relint_common_point(cone_a.generators, cone_b.generators, normals, dim)
+    return _relint_common_point(cone_a.generators, cone_b.generators, region.inequalities, dim)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -698,7 +701,7 @@ def _common_point(ga, gb, normals, dim):
         coeffs = tuple(g[i] for g in ga) + tuple(-g[i] for g in gb)
         rows.append((coeffs, 0))
         rows.append((tuple(-c for c in coeffs), 0))
-    for n in normals or ():
+    for n in normals:
         rows.append((tuple(dot(n, g) for g in ga) + (0,) * kb, 0))
     witness = feasible_point(rows, nv)
     if witness is None:

@@ -48,11 +48,6 @@ class SphericalSpace:
                 tuple("chi%d" % (i + 1) for i in range(self.rank)),
             )
 
-    @property
-    def family_size(self):
-        """n for torus(n) and gln(n), 2 for sl2_u (the group SL2), else None."""
-        return {"torus": self.rank, "gln": self.rank, "sl2_u": 2}.get(self.family)
-
     def palette_vector(self, j):
         if not 0 <= j < len(self.palette):
             raise KeyError("unknown palette index %r" % (j,))
@@ -114,9 +109,6 @@ class ColoredFan:
 
     def __post_init__(self):
         object.__setattr__(self, "cones", tuple(self.cones))
-
-    def member_index(self, cc):
-        return self.cones.index(cc) if cc in self.cones else None
 
 
 @dataclass(frozen=True)

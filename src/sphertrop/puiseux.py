@@ -74,13 +74,6 @@ class PuiseuxPoly:
         """Least exponent with nonzero coefficient; INF for zero."""
         return Fraction(self._ints[0][0], self._den) if self._ints else INF
 
-    def coefficient(self, q):
-        q = Fraction(q)
-        for e, c in self.terms:
-            if e == q:
-                return c
-        return Fraction(0)
-
     def __bool__(self):
         return bool(self._ints)
 

@@ -176,7 +176,7 @@ def trop_point(space, branch):
     elif space.family == "sl2_u":
         values = trop_sl2u(*coords)
     else:
-        values = invariant_factor_valuations(branch.matrix(space.family_size))
+        values = invariant_factor_valuations(branch.matrix(space.rank))
     point = TropicalPoint(space, values)
     if not space.valuation_cone.contains(point.coords):
         raise OffSpaceError("tropical point %r escapes the valuation cone" % (values,))

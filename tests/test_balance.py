@@ -63,6 +63,11 @@ def test_assemble_rejects_bad_rays():
         assemble(GL2, [((-1, 1), 1)])  # outside the valuation cone
 
 
+def test_assemble_rejects_negative_multiplicity():
+    with pytest.raises(ValueError, match="negative multiplicity -1"):
+        assemble(TORUS2, [((1, 0), 2), ((1, 0), -1)])
+
+
 def test_weighted_fan_invariants():
     with pytest.raises(ValueError):
         WeightedRayFan(GL2, (((1, 0), 0),), ())

@@ -52,6 +52,13 @@ def test_builtin_space_shapes():
         builtin_space("torus", 0)
 
 
+def test_builtin_space_rejects_gln0_and_the_sl2u_id():
+    with pytest.raises(ValueError, match="gln needs a positive size"):
+        builtin_space("gln", 0)
+    with pytest.raises(ValueError, match="unknown space family 'sl2u'"):
+        builtin_space("sl2u")  # a space id: space_by_id reads it
+
+
 def test_space_by_id():
     assert space_by_id("gln2").name == "gln2"
     assert space_by_id("torus4").rank == 4

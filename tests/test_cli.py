@@ -75,6 +75,22 @@ def test_trop_torus_vector(capsys):
     assert json.loads(out)["coords"] == ["2", "-1"]
 
 
+@pytest.mark.parametrize(
+    "text, coords", [("t, t", ["1", "1"]), ("[t, 1]", ["1", "0"]), (" ( t^2 , t^-1 ) ", ["2", "-1"])]
+)
+def test_trop_vector_forms(capsys, text, coords):
+    code, out, _ = run(capsys, "trop", "torus2", text)
+    assert code == 0
+    assert json.loads(out)["coords"] == coords
+
+
+def test_trop_takes_its_space_only_as_the_positional_id(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trop", "--space", "gln2", "[[t+1,t],[t,0]]"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --space" in capsys.readouterr().err
+
+
 def test_trop_sl2u(capsys):
     code, out, _ = run(capsys, "trop", "sl2u", "(0, t^3)")
     assert code == 0
@@ -317,7 +333,6 @@ BAD_INPUTS = {
     ),
     "trop_torus0": lambda tmp: ["trop", "torus0", "(t)"],
     "trop_gln0": lambda tmp: ["trop", "gln0", "[[t]]"],
-    "trop_space_flag_gln0": lambda tmp: ["trop", "--space", "gln0", "[[t]]"],
     "fan_builtin_gln0": lambda tmp: _fan_doc_with(tmp, lambda doc: doc.update(space={"builtin": "gln0"})),
     "fan_builtin_torus0": lambda tmp: _fan_doc_with(
         tmp, lambda doc: doc.update(space={"builtin": "torus0"})
@@ -405,6 +420,17 @@ INPUT_ERROR_TEXTS = {
     "trop_malformed_term": (lambda tmp: ["trop", "torus2", "(3 t, 1)"], "malformed Puiseux polynomial '3 t'"),
     "trop_empty_parentheses": (lambda tmp: ["trop", "torus2", "()"], "empty coordinate list"),
     "trop_empty_brackets": (lambda tmp: ["trop", "torus2", "[]"], "empty coordinate list"),
+    "trop_empty_middle_cell": (lambda tmp: ["trop", "torus2", "(t,,t^2)"], "empty input"),
+    "trop_vector_trailing_comma": (lambda tmp: ["trop", "torus2", "(t, t^2,)"], "empty input"),
+    "trop_empty_first_cell": (lambda tmp: ["trop", "torus2", "(,t,t)"], "empty input"),
+    "trop_matrix_empty_cell": (lambda tmp: ["trop", "gln2", "[[t,],[1,t]]"], "empty input"),
+    "fan_validate_without_input": (lambda tmp: ["fan", "validate"], "an input file (or --fixture) is required"),
+    "plot_curve_without_expected": (
+        lambda tmp: [
+            "plot", _curve_doc_with(tmp, lambda doc: doc.pop("expected"))[-1], "--out", str(tmp / "out.svg")
+        ],
+        "curve document has no expected fan to plot",
+    ),
     "star_without_index": (
         lambda tmp: ["fan", "star", "--fixture", "gl2_fig1_fan"], "star needs --cone-index"
     ),
@@ -779,11 +805,3 @@ def test_json_flag_compact_output(capsys):
     assert code == 0
     assert out.count("\n") == 1
     assert json.loads(out)["format"] == "catalog/1"
-
-
-def test_space_flag_alternative(capsys):
-    code, out, _ = run(capsys, "trop", "--space", "gln2", "[[t+1,t],[t,0]]")
-    assert code == 0
-    assert json.loads(out)["coords"] == ["2", "0"]
-    code, _, _ = run(capsys, "trop", "--space", "gln2")
-    assert code == 2

@@ -236,6 +236,21 @@ def test_quotient_projection_properties():
             assert primitive(b)[1] == 1
 
 
+# A Fraction entry is an error, never truncated: the quotient row of
+# (1/2, 1) is (2, -1), while int() would give (1, 0), the row of (0, 1).
+NON_INTEGER_ENTRIES = {
+    "primitive": lambda: primitive((Fraction(1, 2), 1)),
+    "smith_normal_form": lambda: smith_normal_form([[Fraction(3, 2)]]),
+    "quotient_projection": lambda: quotient_projection([(Fraction(1, 2), 1)], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_ENTRIES))
+def test_non_integer_entries_raise_type_error(case):
+    with pytest.raises(TypeError, match="expects integer entries"):
+        NON_INTEGER_ENTRIES[case]()
+
+
 def test_saturation_example():
     assert saturation_basis([(2, 0)], 2) == [(1, 0)]
     assert saturation_basis([(-1, -1)], 2) == [(1, 1)]
@@ -317,6 +332,35 @@ def test_dim_and_pointedness():
     assert Cone([], 2).is_pointed() is True
 
 
+# --- dimension mismatches ---------------------------------------------------
+
+RAY2, RAY3 = Cone([(1, 0)]), Cone([(1, 0, 0)])
+
+DIMENSION_MISMATCHES = {
+    "dot": (lambda: dot((1, 2), (1, 2, 3)), "dimension mismatch: 2 vs 3"),
+    "contains": (lambda: RAY2.contains((1, 0, 0)), "not in dimension 2"),
+    "contains_cone": (lambda: RAY2.contains_cone(RAY3), "ambient dimension mismatch"),
+    "intersect": (lambda: RAY2.intersect(RAY3), "ambient dimension mismatch"),
+    "relint_meets": (lambda: relint_meets(RAY2, RAY3), "ambient dimension mismatch"),
+    "relint_common_point_cone": (lambda: relint_common_point(RAY2, RAY3, RAY2), "ambient dimension mismatch"),
+    "relint_common_point_region": (lambda: relint_common_point(RAY2, RAY2, RAY3), "ambient dimension mismatch"),
+    "span_snf": (lambda: quotient_projection([(1, 0, 0)], 2), "does not live in Z\\^2"),
+    "zero_cone_without_dimension": (lambda: Cone([]), "ambient dimension required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIMENSION_MISMATCHES))
+def test_dimension_mismatch_raises_value_error(case):
+    call, message = DIMENSION_MISMATCHES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_cones_in_different_dimensions_are_unequal():
+    assert RAY2 != RAY3 and RAY3 != RAY2
+    assert Cone([], 2) != Cone([], 3)
+
+
 # --- relative interiors -----------------------------------------------------
 
 
@@ -337,7 +381,7 @@ def test_relint_symmetry_property():
     for _ in range(40):
         dim = rng.randint(1, 3)
         c1, c2 = random_cone(rng, dim), random_cone(rng, dim)
-        if relint_common_point(c1, c2) is not None:
+        if relint_common_point(c1, c2, Cone.from_inequalities((), dim)) is not None:
             assert relint_meets(c1, c2) and relint_meets(c2, c1)
 
 
@@ -368,10 +412,9 @@ def test_relint_common_point_certificate_agrees_with_elimination():
         dim = rng.randint(2, 4)
         a = _random_cone_with_lines(rng, dim)
         b = rng.choice([a, rng.choice(a.faces()), _random_cone_with_lines(rng, dim)])
-        region = rng.choice([None, random_cone(rng, dim)])
-        normals = None if region is None else region.inequalities
+        region = rng.choice([Cone.from_inequalities((), dim), random_cone(rng, dim)])
         # the LP alone, with no certificate
-        expected = eliminate(a.generators, b.generators, normals, dim)
+        expected = eliminate(a.generators, b.generators, region.inequalities, dim)
         assert relint_common_point(a, b, region) == expected
         if _separated(a, b):
             separated += 1
@@ -392,7 +435,8 @@ def test_relint_answers_match_cold_and_warm():
         pairs.append((random_cone(rng, dim), random_cone(rng, dim)))
 
     def answers(a, b):
-        return relint_meets(a, b), relint_common_point(a, b), relint_common_point(a, a, b)
+        whole = Cone.from_inequalities((), a.ambient_dim)
+        return relint_meets(a, b), relint_common_point(a, b, whole), relint_common_point(a, a, b)
 
     cold = []
     for a, b in pairs:

@@ -64,6 +64,30 @@ def test_zero_palette_vector_reports_cc3():
     assert "CC3" in report.axioms()
 
 
+def test_cone_of_another_dimension_reports_space():
+    report = validate_colored_cone(GL2, ColoredCone(Cone([(1, 0, 0)])), member=3)
+    assert [(v.member, v.axiom, v.message) for v in report.violations] == [
+        (3, "SPACE", "cone dimension 3 != rank 2")
+    ]
+
+
+def test_space_invariant_problems():
+    space = SphericalSpace(
+        name="broken",
+        rank=2,
+        valuation_cone=Cone(signed_basis(3), 3),
+        palette=(("A", (1,)), ("B", (0, 0))),
+        character_basis_labels=("x",),
+    )
+    assert space.invariant_problems() == [
+        "valuation cone lives in the wrong dimension",
+        "color A has the wrong dimension",
+        "color B has the zero vector",
+        "character basis has the wrong size",
+    ]
+    assert builtin_space("gln", 3).invariant_problems() == []
+
+
 # --- colored faces --------------------------------------------------------------
 
 
@@ -161,11 +185,11 @@ def test_decolor_fixes_toroidal_fans():
     assert report.ok
     assert len(out.cones) == len(fan.cones)
     for member in fan.cones:
-        assert out.member_index(member) is not None
+        assert member in out.cones
     again, _ = decolor(out)
     assert len(again.cones) == len(out.cones)
     for member in out.cones:
-        assert again.member_index(member) is not None
+        assert member in again.cones
 
 
 def test_decolor_zero_cone():
@@ -212,7 +236,7 @@ def test_star_at_zero_cone_is_identity():
     assert result.projection == ((1, 0), (0, 1))
     assert len(result.fan.cones) == len(fan.cones)
     for m in fan.cones:
-        assert result.fan.member_index(m) is not None
+        assert m in result.fan.cones
 
 
 def test_star_at_upper_ray():
@@ -267,13 +291,13 @@ def test_star_skips_a_member_whose_face_has_other_colors(monkeypatch):
     assert [(m.cone.generators, m.colors) for m in result.fan.cones] == [((), frozenset())]
 
 
-def test_member_index_is_colored_cone_equality():
+def test_fan_membership_is_colored_cone_equality():
     fan = fig1_fan()
-    i = fan.member_index(cc([(-1, -1)]))
-    assert i is not None and fan.cones[i].cone.generators == ((-1, -1),)
-    assert fan.member_index(cc([(-2, -2), (-1, -1)])) == i
-    assert fan.member_index(cc([(-1, -1)], {E})) is None
-    assert fan.member_index(cc([(5, 1)])) is None
+    i = fan.cones.index(cc([(-1, -1)]))
+    assert fan.cones[i].cone.generators == ((-1, -1),)
+    assert fan.cones.index(cc([(-2, -2), (-1, -1)])) == i
+    assert cc([(-1, -1)], {E}) not in fan.cones
+    assert cc([(5, 1)]) not in fan.cones
     assert hash(cc([(-2, -2), (-1, -1)])) == hash(fan.cones[i]) and hash(fan) == hash(fig1_fan())
 
 

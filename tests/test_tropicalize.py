@@ -173,6 +173,18 @@ def test_trop_point_errors():
         trop_point(nameless, CurveBranch((t, t)))
 
 
+def test_trop_point_rejects_a_branch_of_the_wrong_arity():
+    with pytest.raises(OffSpaceError, match="branch has 1 coordinates, expected 2"):
+        trop_point(builtin_space("torus", 2), CurveBranch((t,)))
+
+
+def test_curve_branch_shape_errors():
+    with pytest.raises(TypeError, match="must be Puiseux polynomials"):
+        CurveBranch((t, 1))
+    with pytest.raises(ValueError, match="branch has 4 coordinates, expected 9"):
+        CurveBranch((t,) * 4).matrix(3)
+
+
 # --- branch rays ----------------------------------------------------------------------
 
 
