@@ -31,7 +31,6 @@ from .luna_vust import (
     StarResult,
     colored_faces,
     decolor,
-    is_toroidal,
     star,
     validate_colored_cone,
     validate_colored_fan,
@@ -41,7 +40,6 @@ from .puiseux import (
     PuiseuxPoly,
     determinant,
     format_puiseux,
-    min_minor_valuation,
     parse_puiseux,
     val,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "determinant",
     "format_puiseux",
     "invariant_factor_valuations",
-    "is_toroidal",
-    "min_minor_valuation",
     "pairing_residual",
     "parse_puiseux",
     "primitive",

@@ -1,6 +1,7 @@
 """Built-in spherical space descriptors and reference fixtures.
 
-Three families are shipped:
+Three families are shipped, each declared once as a :class:`Family`
+record in :data:`FAMILIES`:
 
 * ``torus(n)``: rank n, valuation cone all of R^n, empty palette;
 * ``sl2_u``: rank 1, valuation cone all of R, one color at +1;
@@ -23,56 +24,109 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
+from . import tropicalize
 from .lattice import Cone
 from .luna_vust import SphericalSpace
 
 
+def _torus(n):
+    if n is None or n < 1:
+        raise ValueError("torus needs a positive rank")
+    return SphericalSpace(
+        name="torus%d" % n,
+        rank=n,
+        valuation_cone=Cone.from_inequalities((), n),
+        palette=(),
+        character_basis_labels=tuple("x%d" % (i + 1) for i in range(n)),
+        family="torus",
+    )
+
+
+def _sl2u(_n):
+    return SphericalSpace(
+        name="sl2u",
+        rank=1,
+        valuation_cone=Cone.from_inequalities((), 1),
+        palette=(("E1", (1,)),),
+        character_basis_labels=("chi1",),
+        family="sl2_u",
+    )
+
+
+def _gln(n):
+    if n is None or n < 1:
+        raise ValueError("gln needs a positive size")
+    normals = []
+    for i in range(n - 1):
+        row = [0] * n
+        row[i] = 1
+        row[i + 1] = -1
+        normals.append(tuple(row))
+    palette = []
+    for j in range(2, n + 1):
+        v = [0] * n
+        v[j - 1] = 1
+        v[j - 2] = -1
+        palette.append(("E%d" % j, tuple(v)))
+    return SphericalSpace(
+        name="gln%d" % n,
+        rank=n,
+        valuation_cone=Cone.from_inequalities(normals, n),
+        palette=tuple(palette),
+        character_basis_labels=tuple("chi%d" % (i + 1) for i in range(n)),
+        family="gln",
+    )
+
+
+@dataclass(frozen=True)
+class Family:
+    """One catalog family of spherical homogeneous spaces G/H.
+
+    ``build(n)`` constructs the space (n is the rank or size, None for
+    sl2_u); ``arity(rank)`` is the coordinate count of a branch,
+    ``size(rank)`` the space/1 ``family_size``; ``trop(branch, rank)`` is
+    the family's tropicalization map; ``row`` is its ``catalog list`` entry.
+    """
+
+    build: object
+    arity: object
+    size: object
+    trop: object
+    row: dict
+
+
+# Every catalog family, in ``catalog list`` order, keyed by SphericalSpace.family.
+FAMILIES = {
+    "torus": Family(
+        build=_torus,
+        arity=lambda n: n,
+        size=lambda n: n,
+        trop=lambda branch, n: tropicalize.trop_torus(branch.coords),
+        row={"id": "torus<n>", "rank": "n", "palette": 0},
+    ),
+    "sl2_u": Family(
+        build=_sl2u,
+        arity=lambda n: 2,
+        size=lambda n: 2,  # its group is SL2
+        trop=lambda branch, n: tropicalize.trop_sl2u(*branch.coords),
+        row={"id": "sl2u", "rank": 1, "palette": 1},
+    ),
+    "gln": Family(
+        build=_gln,
+        arity=lambda n: n**2,
+        size=lambda n: n,
+        trop=lambda branch, n: tropicalize.invariant_factor_valuations(branch.matrix(n)),
+        row={"id": "gln<n>", "rank": "n", "palette": "n-1"},
+    ),
+}
+
+
 def builtin_space(name, n=None):
     """Construct a catalog space descriptor by family name."""
-    if name == "torus":
-        if n is None or n < 1:
-            raise ValueError("torus needs a positive rank")
-        return SphericalSpace(
-            name="torus%d" % n,
-            rank=n,
-            valuation_cone=Cone.from_inequalities((), n),
-            palette=(),
-            character_basis_labels=tuple("x%d" % (i + 1) for i in range(n)),
-            family="torus",
-        )
-    if name == "sl2_u":
-        return SphericalSpace(
-            name="sl2u",
-            rank=1,
-            valuation_cone=Cone.from_inequalities((), 1),
-            palette=(("E1", (1,)),),
-            character_basis_labels=("chi1",),
-            family="sl2_u",
-        )
-    if name == "gln":
-        if n is None or n < 1:
-            raise ValueError("gln needs a positive size")
-        normals = []
-        for i in range(n - 1):
-            row = [0] * n
-            row[i] = 1
-            row[i + 1] = -1
-            normals.append(tuple(row))
-        palette = []
-        for j in range(2, n + 1):
-            v = [0] * n
-            v[j - 1] = 1
-            v[j - 2] = -1
-            palette.append(("E%d" % j, tuple(v)))
-        return SphericalSpace(
-            name="gln%d" % n,
-            rank=n,
-            valuation_cone=Cone.from_inequalities(normals, n),
-            palette=tuple(palette),
-            character_basis_labels=tuple("chi%d" % (i + 1) for i in range(n)),
-            family="gln",
-        )
-    raise ValueError("unknown space family %r" % (name,))
+    family = FAMILIES.get(name)
+    if family is None:
+        raise ValueError("unknown space family %r" % (name,))
+    return family.build(n)
 
 
 # The space id grammar: torus<n> or gln<n>, else sl2u (also written sl2_u).
@@ -160,60 +214,6 @@ def sl2u_family(d, e):
 def catalog_listing():
     """Human-oriented list of built-in spaces and fixtures for the CLI."""
     return {
-        "spaces": [
-            {"id": "torus<n>", "rank": "n", "palette": 0},
-            {"id": "sl2u", "rank": 1, "palette": 1},
-            {"id": "gln<n>", "rank": "n", "palette": "n-1"},
-        ],
+        "spaces": [dict(family.row) for family in FAMILIES.values()],
         "fixtures": list(fixture_names()),
     }
-
-
-# ---------------------------------------------------------------------------
-# symbolic semi-invariants
-#
-# The character basis of each catalog space is realized by concrete
-# functions: coordinates for the torus, the second coordinate for sl2_u,
-# and ratios of nested lower-right minors for gln.  They are kept here so
-# character pairings can be demonstrated on explicit branches (note that a
-# raw evaluation computes the valuation at the specific point, not the
-# generic-translate valuation that defines the tropicalization).
-
-
-def nested_minor(matrix, i):
-    """Determinant of the lower-right block starting at row/column i (1-based)."""
-    from .puiseux import determinant
-
-    sub = [row[i - 1 :] for row in matrix[i - 1 :]]
-    return determinant(sub)
-
-
-def character_function(space, index):
-    """Evaluator for the index-th character basis function of a catalog space.
-
-    Returns a callable CurveBranch -> ``(numerator, denominator)``, a pair
-    of :class:`~sphertrop.puiseux.PuiseuxPoly` whose quotient is the basis
-    semi-invariant: x_i for torus(n), y for sl2_u, and the minor ratio
-    h_i / h_{i+1} for gln(n).  Its valuation is ``numerator.val() -
-    denominator.val()``.
-    """
-    from .puiseux import PuiseuxPoly
-
-    if not 0 <= index < space.rank:
-        raise IndexError("character index %d out of range" % index)
-    one = PuiseuxPoly.one()
-    if space.family == "torus":
-        return lambda branch: (branch.coords[index], one)
-    if space.family == "sl2_u":
-        return lambda branch: (branch.coords[1], one)
-    if space.family == "gln":
-        n = space.rank
-        i = index + 1
-
-        def evaluate(branch):
-            matrix = branch.matrix(n)
-            denominator = one if i == n else nested_minor(matrix, i + 1)
-            return nested_minor(matrix, i), denominator
-
-        return evaluate
-    raise ValueError("no symbolic characters for space kind %r" % (space.family,))

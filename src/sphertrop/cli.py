@@ -29,7 +29,6 @@ from .tropicalize import (
     NonIntegerRayError,
     OffSpaceError,
     branch_rays,
-    coordinate_count,
     trop_point,
 )
 
@@ -128,7 +127,7 @@ def cmd_trop(args):
     except KeyError as exc:
         raise _CliInputError(exc.args[0]) from None
     branch = _parse_coordinates(coordinates)
-    arity = coordinate_count(family, n)
+    arity = catalog.FAMILIES[family].arity(n)
     if len(branch.coords) != arity:
         raise _CliInputError(
             "%s takes %s coordinates, got %d"

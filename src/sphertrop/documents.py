@@ -13,11 +13,12 @@ import re
 import sys
 from fractions import Fraction
 
+from . import catalog
 from .balance import WeightedRayFan
 from .lattice import Cone
 from .luna_vust import ColoredCone, ColoredFan, SphericalSpace
 from .puiseux import format_puiseux, parse_puiseux
-from .tropicalize import CurveBranch, coordinate_count
+from .tropicalize import CurveBranch
 
 
 class DocumentError(ValueError):
@@ -100,14 +101,18 @@ def _check_format(doc, expected):
 # spaces
 
 
+# "torus, sl2_u or gln": the catalog families, as error messages name them
+_FAMILY_NAMES = "%s or %s" % (", ".join(list(catalog.FAMILIES)[:-1]), list(catalog.FAMILIES)[-1])
+
+
 def space_to_doc(space):
+    family = catalog.FAMILIES.get(space.family)
     return {
         "format": "space/1",
         "name": space.name,
         "rank": space.rank,
         "family": space.family,
-        # n for torus(n) and gln(n), 2 for sl2_u (its group is SL2), else None
-        "family_size": {"torus": space.rank, "gln": space.rank, "sl2_u": 2}.get(space.family),
+        "family_size": family.size(space.rank) if family else None,
         "valuation_cone": {"generators": [vector_to_doc(g) for g in space.valuation_cone.generators]},
         "palette": [
             {"label": label, "vector": vector_to_doc(v)} for label, v in space.palette
@@ -118,8 +123,6 @@ def space_to_doc(space):
 
 def space_from_doc(doc):
     """Accepts either ``{"builtin": "gln2"}`` or a full space/1 document."""
-    from . import catalog
-
     if isinstance(doc, dict) and "builtin" in doc:
         try:
             return catalog.space_by_id(_shaped(doc["builtin"], str, "'builtin'"))
@@ -130,20 +133,22 @@ def space_from_doc(doc):
     if type(rank) is not int or rank < 1:
         raise DocumentError("bad rank %r" % (rank,))
     family, family_size = doc.get("family"), doc.get("family_size")
-    if family not in (None, "torus", "sl2_u", "gln"):
-        raise DocumentError("unknown family %r (expected torus, sl2_u or gln)" % (family,))
+    if family not in (None, *catalog.FAMILIES):  # a tuple scan: no TypeError on a family such as []
+        raise DocumentError("unknown family %r (expected %s)" % (family, _FAMILY_NAMES))
     if family == "sl2_u" and rank != 1:
         raise DocumentError("an sl2_u space has rank 1, got %d" % rank)
     if family == "gln" and (type(family_size) is not int or family_size != rank):
         raise DocumentError("a gln space needs family_size %d (its rank), got %r" % (rank, family_size))
     valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank)
-    palette = []
+    palette = {}  # label -> vector: documents name colors by label
     for entry in _shaped(doc.get("palette", []), list, "'palette'"):
         label = _shaped(_require(entry, "label"), str, "'label'")
         vector = int_vector_from_doc(_require(entry, "vector"))
         if len(vector) != rank:
             raise DocumentError("palette vector %r needs %d entries" % (entry["vector"], rank))
-        palette.append((label, vector))
+        if label in palette:
+            raise DocumentError("palette label %r repeats" % (label,))
+        palette[label] = vector
     characters = _shaped(doc.get("characters", []), list, "'characters'")
     if characters and not (
         all(isinstance(c, str) for c in characters) and len(set(characters)) == len(characters) == rank
@@ -153,7 +158,7 @@ def space_from_doc(doc):
         name=str(doc.get("name", "space")),
         rank=rank,
         valuation_cone=valuation_cone,
-        palette=tuple(palette),
+        palette=tuple(palette.items()),
         character_basis_labels=tuple(characters),
         family=family,
     )
@@ -286,9 +291,10 @@ def curve_from_doc(doc):
     """
     _check_format(doc, "curve/1")
     space = space_from_doc(_require(doc, "space"))
-    arity = coordinate_count(space.family, space.rank)
-    if arity is None:
-        raise DocumentError("a curve/1 space needs a family (torus, sl2_u or gln)")
+    family = catalog.FAMILIES.get(space.family)
+    if family is None:
+        raise DocumentError("a curve/1 space needs a family (%s)" % _FAMILY_NAMES)
+    arity = family.arity(space.rank)
     branches = []
     for entry in _shaped(_require(doc, "branches"), list, "'branches'"):
         if "matrix" not in _shaped(entry, dict, "a branch") and "coords" not in entry:

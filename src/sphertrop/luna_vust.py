@@ -64,7 +64,11 @@ class SphericalSpace:
         problems = []
         if self.valuation_cone.ambient_dim != self.rank:
             problems.append("valuation cone lives in the wrong dimension")
+        labels = set()
         for label, v in self.palette:
+            if label in labels:
+                problems.append("color label %s repeats" % label)
+            labels.add(label)
             if len(v) != self.rank:
                 problems.append("color %s has the wrong dimension" % label)
             elif is_zero_vector(v):
@@ -265,11 +269,6 @@ def validate_colored_fan(fan):
                 )
     object.__setattr__(fan, "_violations", tuple(report.violations))
     return report
-
-
-def is_toroidal(fan):
-    """True iff no member carries a color."""
-    return all(not cc.colors for cc in fan.cones)
 
 
 def decolor(fan):

@@ -64,7 +64,11 @@ class PuiseuxPoly:
     def terms(self):
         """``(exponent, coefficient)`` Fraction pairs, exponents increasing."""
         den, scale = self._den, self._scale
-        return tuple((Fraction(k, den), Fraction(m, scale)) for k, m in self._ints)
+        # Fraction(k) skips the gcd that Fraction(k, 1) pays
+        return tuple(
+            (Fraction(k) if den == 1 else Fraction(k, den), Fraction(m) if scale == 1 else Fraction(m, scale))
+            for k, m in self._ints
+        )
 
     @property
     def is_zero(self):
@@ -413,11 +417,3 @@ def minor_valuation_profile(M):
     """
     _, pivots = _pivots(M)
     return [p.val() for p in pivots] + [INF] * (len(M) - len(pivots))
-
-
-def min_minor_valuation(M, k):
-    """Minimum t-adic valuation over all k x k minors; INF if all vanish."""
-    n = _check_square(M)
-    if not 1 <= k <= n:
-        raise ValueError("minor size %d out of range 1..%d" % (k, n))
-    return minor_valuation_profile(M)[k - 1]

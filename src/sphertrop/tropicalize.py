@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import catalog
 from .lattice import primitive
 from .puiseux import INF, PuiseuxPoly, minor_valuation_profile
 
@@ -45,8 +46,8 @@ class TropicalPoint:
 class CurveBranch:
     """Coordinates of a curve branch over the Puiseux field.
 
-    One entry per ambient coordinate of the space: n for torus(n), 2 for
-    sl2_u, and n*n (row-major) for gln(n).
+    One entry per ambient coordinate of the space, as many as its catalog
+    family's ``arity`` gives; a gln(n) matrix is stored row-major.
     """
 
     coords: tuple
@@ -109,74 +110,21 @@ def invariant_factor_valuations(M):
     return tuple(reversed(increasing))
 
 
-def cartan_valuations_by_elimination(M):
-    """Independent cross-check of :func:`invariant_factor_valuations`.
-
-    Division-free Gaussian elimination, always pivoting on an entry of least
-    valuation: each step replaces the remaining block by ``pivot * a_ij -
-    a_i0 * a_0j``.  That block is a nonzero scalar c times the Schur
-    complement over the fraction field, whose least-valuation pivots keep
-    every multiplier integral at t=0, so their valuations are the invariant
-    factors, in increasing order; val(c) is the sum of the earlier pivot
-    valuations.  Unlike the fraction-free elimination behind
-    :func:`invariant_factor_valuations`, it never divides.  Raises
-    :class:`OffSpaceError` on singular matrices.
-    """
-    work = [list(row) for row in M]
-    increasing = []
-    scale = 0
-    while work:
-        best = INF
-        for i, row in enumerate(work):
-            for j, a in enumerate(row):
-                v = a.val()
-                if v < best:
-                    best, pi, pj = v, i, j
-        if best == INF:
-            raise OffSpaceError("matrix is singular: point is off the general linear group")
-        increasing.append(best - scale)
-        scale += best
-        top = work.pop(pi)
-        pivot = top.pop(pj)
-        rest = []
-        for row in work:
-            lead = row.pop(pj)
-            rest.append([pivot * a - lead * b for a, b in zip(row, top)])
-        work = rest
-    return tuple(reversed(increasing))
-
-
-def coordinate_count(family, rank):
-    """Coordinates of a branch in a space of this family and rank: n for
-    torus(n), 2 for sl2_u, n*n for gln(n); None outside the catalog families."""
-    if family == "torus":
-        return rank
-    if family == "sl2_u":
-        return 2
-    if family == "gln":
-        return rank**2
-    return None
-
-
 def trop_point(space, branch):
     """Tropicalize a branch in the given catalog space.
 
-    Dispatches on the space's family and checks that the result lies in the
-    valuation cone.  A branch with the wrong number of coordinates is off
-    the space.
+    Applies the map of the space's catalog family and checks that the
+    result lies in the valuation cone.  A branch with the wrong number of
+    coordinates is off the space.
     """
-    coords = branch.coords
-    n = coordinate_count(space.family, space.rank)
-    if n is None:
+    family = catalog.FAMILIES.get(space.family)
+    if family is None:
         raise ValueError("unsupported space kind %r" % (space.family,))
+    coords = branch.coords
+    n = family.arity(space.rank)
     if len(coords) != n:
         raise OffSpaceError("branch has %d coordinates, expected %d" % (len(coords), n))
-    if space.family == "torus":
-        values = trop_torus(coords)
-    elif space.family == "sl2_u":
-        values = trop_sl2u(*coords)
-    else:
-        values = invariant_factor_valuations(branch.matrix(space.rank))
+    values = family.trop(branch, space.rank)
     point = TropicalPoint(space, values)
     if not space.valuation_cone.contains(point.coords):
         raise OffSpaceError("tropical point %r escapes the valuation cone" % (values,))

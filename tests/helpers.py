@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite (all seeded by callers)."""
+"""Shared random generators (all seeded by callers) and reference implementations for the test suite."""
 
 import itertools
 import re
@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from sphertrop.documents import DocumentError
 from sphertrop.lattice import Cone, dot, primitive, is_zero_vector
-from sphertrop.puiseux import PuiseuxParseError, PuiseuxPoly, _from_ratios
+from sphertrop.puiseux import INF, PuiseuxParseError, PuiseuxPoly, _from_ratios, determinant
+from sphertrop.tropicalize import OffSpaceError
 
 EXPONENTS = [Fraction(n, 2) for n in range(-4, 5)]
 
@@ -333,3 +334,49 @@ def random_balanced_fan(rng, space, max_rays=3):
             continue
         contributions = list(rays.items()) + [(p, multiplier)]
         return assemble(space, contributions, colored)
+
+
+def nested_minor(matrix, i):
+    """Determinant of the lower-right block starting at row/column i (1-based).
+
+    The ratios h_i / h_{i+1} of these minors are the character basis of
+    gln(n): the oracle for its palette and for its tropicalization map.
+    """
+    return determinant([row[i - 1 :] for row in matrix[i - 1 :]])
+
+
+def cartan_valuations_by_elimination(M):
+    """Independent reference for ``tropicalize.invariant_factor_valuations``.
+
+    Division-free Gaussian elimination, always pivoting on an entry of least
+    valuation: each step replaces the remaining block by ``pivot * a_ij -
+    a_i0 * a_0j``.  That block is a nonzero scalar c times the Schur
+    complement over the fraction field, whose least-valuation pivots keep
+    every multiplier integral at t=0, so their valuations are the invariant
+    factors, in increasing order; val(c) is the sum of the earlier pivot
+    valuations.  Unlike the fraction-free elimination behind
+    ``invariant_factor_valuations``, it never divides.  Raises
+    :class:`OffSpaceError` on singular matrices.
+    """
+    work = [list(row) for row in M]
+    increasing = []
+    scale = 0
+    while work:
+        best = INF
+        for i, row in enumerate(work):
+            for j, a in enumerate(row):
+                v = a.val()
+                if v < best:
+                    best, pi, pj = v, i, j
+        if best == INF:
+            raise OffSpaceError("matrix is singular: point is off the general linear group")
+        increasing.append(best - scale)
+        scale += best
+        top = work.pop(pi)
+        pivot = top.pop(pj)
+        rest = []
+        for row in work:
+            lead = row.pop(pj)
+            rest.append([pivot * a - lead * b for a, b in zip(row, top)])
+        work = rest
+    return tuple(reversed(increasing))

@@ -21,13 +21,10 @@ from sphertrop.catalog import builtin_space, reference_fixture, sl2u_family
 from sphertrop.fuzz import mutations
 from sphertrop.luna_vust import star, validate_colored_fan
 from sphertrop.puiseux import PuiseuxPoly, determinant, val
-from sphertrop.tropicalize import (
-    branch_rays,
-    cartan_valuations_by_elimination,
-    invariant_factor_valuations,
-)
+from sphertrop.tropicalize import branch_rays, invariant_factor_valuations
 
 from helpers import (
+    cartan_valuations_by_elimination,
     random_balanced_fan,
     random_nonsingular_matrix,
     random_unit_matrix,

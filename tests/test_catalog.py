@@ -5,17 +5,22 @@ import pytest
 from sphertrop import lattice
 from sphertrop.balance import check_balancing
 from sphertrop.catalog import (
+    FAMILIES,
     CurveFixture,
     builtin_space,
+    catalog_listing,
     fixture_names,
     reference_fixture,
     sl2u_family,
     space_by_id,
 )
+from sphertrop.documents import dumps, load_text, space_from_doc, space_to_doc
 from sphertrop.luna_vust import validate_colored_fan
 from sphertrop.puiseux import PuiseuxPoly, val
-from sphertrop.tropicalize import branch_rays
+from sphertrop.tropicalize import CurveBranch, OffSpaceError, branch_rays, trop_point
 from sphertrop.balance import assemble
+
+from helpers import nested_minor
 
 
 # --- built-in spaces -----------------------------------------------------------
@@ -100,9 +105,6 @@ def test_gln_palette_dimensions_and_membership():
 # character basis functions f_i along the divisor of the j-th nested minor.
 # The oracle computes those orders on random matrix curves crossing the
 # divisor transversally and compares with the cataloged vector.
-
-
-from sphertrop.catalog import nested_minor
 
 
 def random_transversal_curve(rng, n, j):
@@ -198,15 +200,50 @@ def test_sl2u_family_structure():
         sl2u_family(3, 4)
 
 
-# --- symbolic semi-invariants -----------------------------------------------------
+# --- the family table ---------------------------------------------------------------
 
 
-def test_character_functions_on_diagonal_gln_branches():
-    # on a diagonal matrix in Cartan form, evaluating the basis functions
-    # reads off the tropical coordinates directly
-    from sphertrop.catalog import character_function
-    from sphertrop.tropicalize import CurveBranch, trop_point
+def _listed(value, n):
+    """A ``catalog list`` rank or palette entry at size n."""
+    return {"n": n, "n-1": None if n is None else n - 1}.get(value, value)
 
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_contract(name):
+    family = FAMILIES[name]
+    row = family.row
+    one, t = PuiseuxPoly.one(), PuiseuxPoly.t_power(1)
+    for n in (1, 2, 3) if "<n>" in row["id"] else (None,):
+        space = builtin_space(name, n)
+        assert space_by_id(row["id"].replace("<n>", str(n))) == space
+        assert (space.family, space.rank, len(space.palette)) == (
+            name,
+            _listed(row["rank"], n),
+            _listed(row["palette"], n),
+        )
+        doc = space_to_doc(space)
+        assert doc["family_size"] == family.size(space.rank)
+        assert space_from_doc(load_text(dumps(doc))) == space
+        # ones on the diagonal of a gln matrix, t elsewhere: on every space
+        arity = family.arity(space.rank)
+        coords = tuple(one if i % (space.rank + 1) == 0 else t for i in range(arity))
+        assert len(trop_point(space, CurveBranch(coords)).coords) == space.rank
+        with pytest.raises(OffSpaceError):
+            trop_point(space, CurveBranch(coords + (one,)))
+
+
+def test_catalog_list_rows_are_the_family_rows_in_order():
+    assert catalog_listing()["spaces"] == [
+        {"id": "torus<n>", "rank": "n", "palette": 0},
+        {"id": "sl2u", "rank": 1, "palette": 1},
+        {"id": "gln<n>", "rank": "n", "palette": "n-1"},
+    ]
+    assert catalog_listing()["spaces"] == [family.row for family in FAMILIES.values()]
+
+
+def test_trop_point_on_diagonal_gln_branches():
+    # on a diagonal matrix in Cartan form, the valuations of the nested
+    # minor ratios h_i / h_{i+1} are the tropical coordinates
     rng = random.Random(55)
     for n in (2, 3):
         space = builtin_space("gln", n)
@@ -216,23 +253,6 @@ def test_character_functions_on_diagonal_gln_branches():
                 [PuiseuxPoly.t_power(exps[i]) if i == j else PuiseuxPoly.zero() for j in range(n)]
                 for i in range(n)
             ]
-            branch = CurveBranch.from_matrix(M)
-            coords = trop_point(space, branch).coords
-            for i in range(n):
-                num, den = character_function(space, i)(branch)
-                assert num.val() - den.val() == coords[i]
-
-
-def test_character_functions_torus_and_sl2u():
-    from sphertrop.catalog import character_function
-    from sphertrop.tropicalize import CurveBranch
-
-    t = PuiseuxPoly.t_power(1)
-    torus2 = builtin_space("torus", 2)
-    branch = CurveBranch((t**2, PuiseuxPoly.t_power(-1)))
-    assert character_function(torus2, 0)(branch) == (t**2, PuiseuxPoly.one())
-    assert character_function(torus2, 1)(branch) == (PuiseuxPoly.t_power(-1), PuiseuxPoly.one())
-    sl2u = builtin_space("sl2_u")
-    assert character_function(sl2u, 0)(CurveBranch((t, t**3))) == (t**3, PuiseuxPoly.one())
-    with pytest.raises(IndexError):
-        character_function(torus2, 2)
+            h = [val(nested_minor(M, i)) for i in range(1, n + 1)] + [0]
+            coords = trop_point(space, CurveBranch.from_matrix(M)).coords
+            assert coords == tuple(h[i] - h[i + 1] for i in range(n))

@@ -481,6 +481,35 @@ INPUT_ERROR_TEXTS = {
         lambda tmp: _curve_doc_with(tmp, lambda doc: doc["branches"].__setitem__(0, {})),
         "branch needs 'coords' or 'matrix'",
     ),
+    # colors are named by label, so a repeated one would resolve to its first entry
+    "fan_validate_repeated_palette_label": (
+        lambda tmp: _fan_doc_with(
+            tmp, lambda doc: doc["space"]["palette"].append({"label": "E2", "vector": ["1", "-1"]})
+        ),
+        "palette label 'E2' repeats",
+    ),
+    "balance_solve_colors_repeated_palette_label": (
+        lambda tmp: [
+            "balance",
+            "solve-colors",
+            _weighted_fan_file(
+                tmp,
+                json.dumps(
+                    {
+                        "format": "weighted-fan/1",
+                        "space": {
+                            "format": "space/1",
+                            "rank": 1,
+                            "valuation_cone": {"generators": [["1"], ["-1"]]},
+                            "palette": [{"label": "E", "vector": ["1"]}, {"label": "E", "vector": ["-1"]}],
+                        },
+                        "rays": [{"vector": ["-1"], "weight": "1"}],
+                    }
+                ),
+            )[-1],
+        ],
+        "palette label 'E' repeats",
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -14,7 +15,6 @@ from sphertrop.luna_vust import (
     SphericalSpace,
     colored_faces,
     decolor,
-    is_toroidal,
     star,
     validate_colored_cone,
     validate_colored_fan,
@@ -88,6 +88,16 @@ def test_space_invariant_problems():
     assert builtin_space("gln", 3).invariant_problems() == []
 
 
+def test_repeated_color_label_is_a_space_violation():
+    # colors are named by label, so the second "E" could never be named
+    space = dataclasses.replace(GL2, palette=(("E", (-1, 1)), ("F", (1, 0)), ("E", (0, 1))))
+    assert space.invariant_problems() == ["color label E repeats"]
+    report = validate_colored_fan(ColoredFan(space, (cc([]),)))
+    assert [(v.member, v.axiom, v.message) for v in report.violations] == [
+        (None, "SPACE", "color label E repeats")
+    ]
+
+
 # --- colored faces --------------------------------------------------------------
 
 
@@ -157,23 +167,13 @@ def test_colored_fan_with_supported_faces_is_valid():
     assert validate_colored_fan(ColoredFan(GL2, members)).ok
 
 
-# --- toroidal detection and decoloring --------------------------------------------
-
-
-def test_is_toroidal():
-    fan = fig1_fan()
-    assert is_toroidal(fan)
-    colored = ColoredFan(
-        GL2, fan.cones + (cc([(-1, 1), (1, 0)], {E}),)
-    )
-    assert not is_toroidal(colored)
-    assert is_toroidal(ColoredFan(GL2, (cc([]),)))
+# --- decoloring -----------------------------------------------------------------
 
 
 def test_decolor_example():
     members = (cc([]), cc([(1, 0)]), cc([(-1, 1), (1, 0)], {E}))
     out, report = decolor(ColoredFan(GL2, members))
-    assert report.ok and is_toroidal(out)
+    assert report.ok and all(not m.colors for m in out.cones)
     expected = Cone([(1, 1), (1, 0)], 2)
     assert any(m.cone == expected for m in out.cones)
     assert any(m.cone == Cone([(1, 1)], 2) for m in out.cones)  # added face

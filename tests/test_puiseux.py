@@ -15,7 +15,6 @@ from sphertrop.puiseux import (
     determinant,
     divexact,
     format_puiseux,
-    min_minor_valuation,
     minor_valuation_profile,
     parse_puiseux,
     val,
@@ -212,18 +211,10 @@ def test_cofactor_and_bareiss_agree():
 
 
 def test_min_minor_examples():
-    D = [[t, zero], [zero, t**2]]
-    assert min_minor_valuation(D, 1) == 1
-    assert min_minor_valuation(D, 2) == 3
-    eye = [[one, zero], [zero, one]]
-    assert min_minor_valuation(eye, 1) == 0
-    assert min_minor_valuation(eye, 2) == 0
-    M = [[t + one, t], [t, zero]]
-    assert min_minor_valuation(M, 1) == 0
-    assert min_minor_valuation(M, 2) == 2
-    with pytest.raises(ValueError):
-        min_minor_valuation(M, 3)
-    assert min_minor_valuation([[zero, zero], [zero, zero]], 1) == INF
+    assert minor_valuation_profile([[t, zero], [zero, t**2]]) == [1, 3]
+    assert minor_valuation_profile([[one, zero], [zero, one]]) == [0, 0]
+    assert minor_valuation_profile([[t + one, t], [t, zero]]) == [0, 2]
+    assert minor_valuation_profile([[zero, zero], [zero, zero]]) == [INF, INF]
 
 
 def _profile_by_minors(M):

@@ -12,7 +12,6 @@ from sphertrop.tropicalize import (
     OffSpaceError,
     ZeroTropicalizationError,
     branch_rays,
-    cartan_valuations_by_elimination,
     invariant_factor_valuations,
     trop_branch_ray,
     trop_point,
@@ -20,7 +19,12 @@ from sphertrop.tropicalize import (
     trop_torus,
 )
 
-from helpers import random_nonsingular_matrix, random_poly, random_unit_matrix
+from helpers import (
+    cartan_valuations_by_elimination,
+    random_nonsingular_matrix,
+    random_poly,
+    random_unit_matrix,
+)
 
 t = PuiseuxPoly.t_power(1)
 ti = PuiseuxPoly.t_power(-1)
