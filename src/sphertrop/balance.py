@@ -78,36 +78,34 @@ class BalanceReport:
     per_character: tuple  # (character label, integer residual) pairs
 
 
+def _merged(contributions, what):
+    """Summed multiplicity per key; a negative contribution, which the sum
+    would hide, raises."""
+    totals = {}
+    for key, m in contributions:
+        m = int(m)
+        if m < 0:
+            raise ValueError("negative multiplicity %d for %s %r" % (m, what, key))
+        totals[key] = totals.get(key, 0) + m
+    return totals
+
+
 def assemble(space, ray_contributions, colored=()):
     """Merge branch ray contributions and colored weights into a fan.
 
-    Equal rays are merged with summed multiplicities; zero-weight rays are
-    dropped with a warning; output ordering is lexicographic, hence
-    deterministic.
+    Equal rays are merged with summed multiplicities, as are equal colors;
+    zero-weight rays are dropped with a warning.  The merged rays are
+    checked by :class:`WeightedRayFan`.
     """
-    totals = {}
-    for v, m in ray_contributions:
-        v = tuple(v)
-        p, scale = primitive(v)
-        if scale != 1:
-            raise ValueError("ray %r is not primitive" % (v,))
-        if not space.valuation_cone.contains(v):
-            raise ValueError("ray %r is outside the valuation cone" % (v,))
-        m = int(m)
-        if m < 0:
-            raise ValueError("negative multiplicity %d for ray %r" % (m, v))
-        totals[v] = totals.get(v, 0) + m
+    totals = _merged(((tuple(v), m) for v, m in ray_contributions), "ray")
     rays = []
-    for v in sorted(totals):
-        if totals[v] == 0:
+    for v, m in sorted(totals.items()):
+        if m == 0:
             warnings.warn("ray %r has weight zero and is dropped from the fan" % (v,))
         else:
-            rays.append((v, totals[v]))
-    color_totals = {}
-    for j, m in colored:
-        color_totals[int(j)] = color_totals.get(int(j), 0) + int(m)
-    colored_weights = tuple(sorted(color_totals.items()))
-    return WeightedRayFan(space, tuple(rays), colored_weights)
+            rays.append((v, m))
+    colored_weights = _merged(((int(j), m) for j, m in colored), "color")
+    return WeightedRayFan(space, tuple(rays), tuple(colored_weights.items()))
 
 
 def residual_vector(wf):

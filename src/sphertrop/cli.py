@@ -174,15 +174,16 @@ def cmd_fan(args):
     raise AssertionError(args.action)
 
 
-def _weighted_fan_from_input(doc):
+def _weighted_fan_from_input(doc, expects="balance expects a weighted-fan/1 or curve/1 document"):
+    """The weighted fan of a weighted-fan/1 document, or the one a curve/1
+    document's branches tropicalize to; ``expects`` opens the message for
+    any other format."""
     if doc["format"] == "weighted-fan/1":
         return documents.weighted_fan_from_doc(doc)
     if doc["format"] == "curve/1":
         space, branches, colored, _ = documents.curve_from_doc(doc)
         return assemble(space, branch_rays(space, branches), colored)
-    raise documents.DocumentError(
-        "balance expects a weighted-fan/1 or curve/1 document, got %r" % doc["format"]
-    )
+    raise documents.DocumentError("%s, got %r" % (expects, doc["format"]))
 
 
 def cmd_balance(args):
@@ -193,44 +194,24 @@ def cmd_balance(args):
         return EXIT_OK if report.balanced else EXIT_DOMAIN
     if args.action == "solve-colors":
         solution = solve_colored_weights(wf.space, wf.rays)
-        if solution is None:
-            _emit({"format": "colored-weights/1", "feasible": False}, args)
-            return EXIT_DOMAIN
-        _emit(
-            {
-                "format": "colored-weights/1",
-                "feasible": True,
-                "weights": {wf.space.palette[j][0]: documents.rational_to_str(m) for j, m in solution},
-            },
-            args,
-        )
-        return EXIT_OK
+        _emit(documents.colored_weights_to_doc(wf.space, solution), args)
+        return EXIT_DOMAIN if solution is None else EXIT_OK
     raise AssertionError(args.action)
 
 
 def cmd_catalog(args):
-    _emit({"format": "catalog/1", **catalog.catalog_listing()}, args)
+    _emit(documents.catalog_to_doc(), args)
     return EXIT_OK
 
 
 def cmd_plot(args):
     doc = _input_doc(args)
-    if doc["format"] == "weighted-fan/1":
-        wf = documents.weighted_fan_from_doc(doc)
-        svg = plotting.render_fan(wf.space, wf.rays, wf.colored_weights)
-    elif doc["format"] == "curve/1":
-        space, branches, colored, expected = documents.curve_from_doc(doc)
-        if expected is None:
-            raise documents.DocumentError("curve document has no expected fan to plot")
-        svg = plotting.render_fan(space, expected.rays, expected.colored_weights)
-    elif doc["format"] == "fan/1":
+    if doc["format"] == "fan/1":
         fan = documents.fan_from_doc(doc)
         svg = plotting.render_fan(fan.space, cones=fan.cones)
     else:
-        raise documents.DocumentError(
-            "plot expects a weighted-fan/1, curve/1, or fan/1 document, got %r"
-            % doc["format"]
-        )
+        wf = _weighted_fan_from_input(doc, "plot expects a weighted-fan/1, curve/1, or fan/1 document")
+        svg = plotting.render_fan(wf.space, wf.rays, wf.colored_weights)
     _write(args.out, svg)
     return EXIT_OK
 

@@ -218,11 +218,12 @@ def weighted_fan_to_doc(wf):
         "rays": [
             {"vector": vector_to_doc(v), "weight": rational_to_str(m)} for v, m in wf.rays
         ],
-        "colored_weights": [
-            {"color": wf.space.palette[j][0], "weight": rational_to_str(m)}
-            for j, m in wf.colored_weights
-        ],
+        "colored_weights": _colored_weight_list(wf.space, wf.colored_weights),
     }
+
+
+def _colored_weight_list(space, pairs):
+    return [{"color": space.palette[j][0], "weight": rational_to_str(m)} for j, m in pairs]
 
 
 def weighted_fan_from_doc(doc):
@@ -274,9 +275,7 @@ def curve_to_doc(space, branches, colored_weights=(), expected=None):
         "format": "curve/1",
         "space": space_to_doc(space),
         "branches": [_branch_to_doc(b, space) for b in branches],
-        "colored_weights": [
-            {"color": space.palette[j][0], "weight": rational_to_str(m)} for j, m in colored_weights
-        ],
+        "colored_weights": _colored_weight_list(space, colored_weights),
     }
     if expected is not None:
         doc["expected"] = weighted_fan_to_doc(expected)
@@ -360,6 +359,18 @@ def validation_report_to_doc(report):
             for v in report.violations
         ],
     }
+
+
+def colored_weights_to_doc(space, solution):
+    """``solution`` is (palette index, weight) pairs, or None when no weights balance."""
+    doc = {"format": "colored-weights/1", "feasible": solution is not None}
+    if solution is not None:
+        doc["weights"] = {space.palette[j][0]: rational_to_str(m) for j, m in solution}
+    return doc
+
+
+def catalog_to_doc():
+    return {"format": "catalog/1", **catalog.catalog_listing()}
 
 
 def star_to_doc(result):

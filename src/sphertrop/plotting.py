@@ -89,6 +89,15 @@ def _text(x, y, content, size=13, anchor="middle", fill="#000000"):
     )
 
 
+def _member_lines(cones):
+    """One grey line per member generator; a rank-1 generator lies on the x axis."""
+    tips = [_stretch((*g, 0)[:2], RAY_LEN - 25) for cc in cones for g in cc.cone.generators]
+    return [
+        '<line x1="0" y1="0" x2="%s" y2="%s" stroke="#bbbbbb" stroke-width="2"/>' % (_fmt(x), _fmt(-y))
+        for x, y in tips
+    ]
+
+
 def render_rank2(space, rays, colored_weights=(), cones=()):
     parts = []
     region = _region_polygon(space.valuation_cone)
@@ -106,13 +115,7 @@ def render_rank2(space, rays, colored_weights=(), cones=()):
     parts.append('<line x1="%d" y1="0" x2="%d" y2="0" stroke="#888888"/>' % (-AXIS_LEN, AXIS_LEN))
     parts.append('<line x1="0" y1="%d" x2="0" y2="%d" stroke="#888888"/>' % (-AXIS_LEN, AXIS_LEN))
 
-    for cc in cones:
-        for g in cc.cone.generators:
-            tip = _stretch(g, RAY_LEN - 25)
-            parts.append(
-                '<line x1="0" y1="0" x2="%s" y2="%s" stroke="#bbbbbb" stroke-width="2"/>'
-                % (_fmt(tip[0]), _fmt(-tip[1]))
-            )
+    parts += _member_lines(cones)
 
     for v, m in rays:
         tip = _stretch(v, RAY_LEN)
@@ -135,7 +138,7 @@ def render_rank2(space, rays, colored_weights=(), cones=()):
     return _svg(parts)
 
 
-def render_rank1(space, rays, colored_weights=()):
+def render_rank1(space, rays, colored_weights=(), cones=()):
     parts = []
     region = space.valuation_cone
     lo = -AXIS_LEN if region.contains((-1,)) else 0
@@ -148,6 +151,7 @@ def render_rank1(space, rays, colored_weights=()):
         parts.append(
             '<line x1="%d" y1="-4" x2="%d" y2="4" stroke="#555555"/>' % (i * UNIT, i * UNIT)
         )
+    parts += _member_lines(cones)
     for v, m in rays:
         tip = RAY_LEN if v[0] > 0 else -RAY_LEN
         parts.append(
@@ -168,5 +172,5 @@ def render_fan(space, rays=(), colored_weights=(), cones=()):
     if space.rank == 2:
         return render_rank2(space, rays, colored_weights, cones)
     if space.rank == 1:
-        return render_rank1(space, rays, colored_weights)
+        return render_rank1(space, rays, colored_weights, cones)
     raise PlotError("plotting supports rank 1 and 2, got rank %d" % space.rank)

@@ -124,10 +124,10 @@ def trop_point(space, branch):
     n = family.arity(space.rank)
     if len(coords) != n:
         raise OffSpaceError("branch has %d coordinates, expected %d" % (len(coords), n))
-    values = family.trop(branch, space.rank)
-    point = TropicalPoint(space, values)
+    point = TropicalPoint(space, family.trop(branch, space.rank))
     if not space.valuation_cone.contains(point.coords):
-        raise OffSpaceError("tropical point %r escapes the valuation cone" % (values,))
+        numbers = ", ".join(map(str, point.coords))  # as documents write them: "-1", "1/2"
+        raise OffSpaceError("tropical point (%s) escapes the valuation cone" % numbers)
     return point
 
 
@@ -145,8 +145,8 @@ def trop_branch_ray(space, branch):
     for c in point.coords:
         if c.denominator != 1:
             raise NonIntegerRayError(
-                "tropical point %r is fractional; rescale the branch parameter"
-                % (point.coords,)
+                "tropical point (%s) is fractional; rescale the branch parameter"
+                % ", ".join(map(str, point.coords))
             )
         ints.append(int(c))
     return primitive(tuple(ints))

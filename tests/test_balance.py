@@ -56,16 +56,39 @@ def test_assemble_drops_zero_weight_with_warning():
     assert any("weight zero" in str(w.message) for w in caught)
 
 
+BAD_RAYS = [(TORUS2, (2, 4), "is not primitive"), (GL2, (-1, 1), "is outside the valuation cone")]
+
+
 def test_assemble_rejects_bad_rays():
-    with pytest.raises(ValueError):
-        assemble(TORUS2, [((2, 4), 1)])  # not primitive
-    with pytest.raises(ValueError):
-        assemble(GL2, [((-1, 1), 1)])  # outside the valuation cone
+    """A bad ray with a positive total fails WeightedRayFan's own check."""
+    for space, ray, message in BAD_RAYS:
+        with pytest.raises(ValueError, match=message):
+            assemble(space, [(ray, 1)])
+        with pytest.raises(ValueError, match=message):
+            WeightedRayFan(space, ((ray, 1),))
+
+
+def test_assemble_drops_a_bad_ray_of_zero_total():
+    for space, ray, _ in BAD_RAYS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wf = assemble(space, [(ray, 0), (ray, 0)])
+        assert wf.rays == ()
+        warning = "ray %r has weight zero and is dropped from the fan" % (ray,)
+        assert [str(w.message) for w in caught] == [warning]
 
 
 def test_assemble_rejects_negative_multiplicity():
     with pytest.raises(ValueError, match="negative multiplicity -1"):
         assemble(TORUS2, [((1, 0), 2), ((1, 0), -1)])
+
+
+def test_assemble_rejects_negative_colored_contribution():
+    """Merging would hide it: 3 + (-2) is a valid weight 1."""
+    rays = [((1, 0), 2), ((-1, -1), 1)]
+    assert assemble(GL2, rays, [(0, 0), (0, 1)]).colored_weights == ((0, 1),)
+    with pytest.raises(ValueError, match="negative multiplicity -2 for color 0"):
+        assemble(GL2, rays, [(0, 3), (0, -2)])
 
 
 def test_weighted_fan_invariants():

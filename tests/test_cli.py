@@ -425,12 +425,6 @@ INPUT_ERROR_TEXTS = {
     "trop_empty_first_cell": (lambda tmp: ["trop", "torus2", "(,t,t)"], "empty input"),
     "trop_matrix_empty_cell": (lambda tmp: ["trop", "gln2", "[[t,],[1,t]]"], "empty input"),
     "fan_validate_without_input": (lambda tmp: ["fan", "validate"], "an input file (or --fixture) is required"),
-    "plot_curve_without_expected": (
-        lambda tmp: [
-            "plot", _curve_doc_with(tmp, lambda doc: doc.pop("expected"))[-1], "--out", str(tmp / "out.svg")
-        ],
-        "curve document has no expected fan to plot",
-    ),
     "star_without_index": (
         lambda tmp: ["fan", "star", "--fixture", "gl2_fig1_fan"], "star needs --cone-index"
     ),
@@ -518,12 +512,25 @@ def test_input_error_text(capsys, tmp_path, case):
     argv, message = INPUT_ERROR_TEXTS[case]
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert "Fraction(" not in err
 
 
 def _torus_curve_with_branch(tmp, coords):
     return _curve_doc_with(
         tmp, lambda doc: doc["branches"].__setitem__(0, {"coords": coords}), "torus_line_curve"
     )
+
+
+def _on_first_quadrant(doc):
+    """The torus family on the first quadrant, with a branch that leaves it."""
+    doc["space"] = {
+        "format": "space/1",
+        "rank": 2,
+        "family": "torus",
+        "valuation_cone": {"generators": [["1", "0"], ["0", "1"]]},
+    }
+    doc["branches"] = [{"coords": ["t^-1", "t"]}]
+    del doc["expected"]
 
 
 DOMAIN_ERROR_TEXTS = {
@@ -537,7 +544,17 @@ DOMAIN_ERROR_TEXTS = {
     ),
     "curve_non_integer_ray": (
         lambda tmp: _torus_curve_with_branch(tmp, ["t^(1/2)", "1"]),
-        "tropical point (Fraction(1, 2), Fraction(0, 1)) is fractional; rescale the branch parameter",
+        "tropical point (1/2, 0) is fractional; rescale the branch parameter",
+    ),
+    "plot_curve_non_integer_ray": (
+        lambda tmp: [
+            "plot", _torus_curve_with_branch(tmp, ["t^(1/2)", "1"])[-1], "--out", str(tmp / "out.svg")
+        ],
+        "tropical point (1/2, 0) is fractional; rescale the branch parameter",
+    ),
+    "curve_escapes_valuation_cone": (
+        lambda tmp: _curve_doc_with(tmp, _on_first_quadrant, "torus_line_curve"),
+        "tropical point (-1, 1) escapes the valuation cone",
     ),
     "star_of_invalid_fan": (
         # without the ray (-1, -1), a face of the member at index 3, the fan breaks CF1
@@ -554,6 +571,7 @@ def test_domain_error_text(capsys, tmp_path, case):
     argv, message = DOMAIN_ERROR_TEXTS[case]
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out, err) == (1, "", "error: %s\n" % message)
+    assert "Fraction(" not in err
 
 
 @pytest.mark.parametrize("coords", ["(1/0, 1)", "(1/00*t, 1)", "(t^(1/0), 1)"])
@@ -668,8 +686,9 @@ def test_mutated_fixture_documents_exit_cleanly(capsys, tmp_path):
                 code = main([*command, str(path), *flags])
             except Exception as exc:
                 pytest.fail("case %d (%s): %s raised %r" % (case, edit, command, exc))
-            capsys.readouterr()
+            err = capsys.readouterr().err
             assert code in (0, 1, 2), (case, edit, command, code)
+            assert "Fraction(" not in err, (case, edit, command, err)
         elapsed = time.perf_counter() - started
         assert elapsed < FUZZ_CASE_SECONDS, (case, edit, elapsed)
 
@@ -724,6 +743,50 @@ def test_balance_solve_colors_infeasible_exit(capsys, tmp_path):
 # --- catalog and plot -----------------------------------------------------------------
 
 
+PINNED_CATALOG_LIST = """{
+  "fixtures": [
+    "gl2_fig1_fan",
+    "gl2_line_curve",
+    "torus_line_curve"
+  ],
+  "format": "catalog/1",
+  "spaces": [
+    {
+      "id": "torus<n>",
+      "palette": 0,
+      "rank": "n"
+    },
+    {
+      "id": "sl2u",
+      "palette": 1,
+      "rank": 1
+    },
+    {
+      "id": "gln<n>",
+      "palette": "n-1",
+      "rank": "n"
+    }
+  ]
+}
+"""
+
+
+def test_writers_keep_their_bytes(capsys, tmp_path):
+    """The exact bytes of colored-weights/1, feasible and not, and of catalog/1."""
+    code, out, _ = run(capsys, "balance", "solve-colors", "--fixture", "gl2_line_curve")
+    feasible = '{\n  "feasible": true,\n  "format": "colored-weights/1",\n  "weights": {\n    "E2": "1"\n  }\n}\n'
+    assert (code, out) == (0, feasible)
+    infeasible = {
+        "format": "weighted-fan/1",
+        "space": {"builtin": "torus2"},
+        "rays": [{"vector": ["1", "0"], "weight": "1"}],
+    }
+    argv = _weighted_fan_file(tmp_path, json.dumps(infeasible))
+    code, out, _ = run(capsys, "balance", "solve-colors", argv[-1])
+    assert (code, out) == (1, '{\n  "feasible": false,\n  "format": "colored-weights/1"\n}\n')
+    assert run(capsys, "catalog", "list") == (0, PINNED_CATALOG_LIST, "")
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0
@@ -773,6 +836,48 @@ def test_plot_rank1(tmp_path, capsys):
     out = tmp_path / "s.svg"
     assert main(["plot", str(src), "--out", str(out)]) == 0
     assert "E1" in out.read_text()
+
+
+def _plot(tmp_path, doc):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out.svg"
+    assert main(["plot", str(src), "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _weighted_fan_doc_of(curve_doc, rays, colored_weights):
+    return {
+        "format": "weighted-fan/1",
+        "space": curve_doc["space"],
+        "rays": rays,
+        "colored_weights": colored_weights,
+    }
+
+
+def test_plot_curve_draws_its_branches(tmp_path):
+    """A curve is drawn from the rays its branches tropicalize to, so a
+    curve without ``expected`` plots, and one whose ``expected`` disagrees
+    with its branches draws the derived rays."""
+    doc = _load_fixture_doc("gl2_line_curve")
+    rays = doc["expected"]["rays"]  # equal to the derived rays on this fixture
+    derived = _plot(tmp_path, _weighted_fan_doc_of(doc, rays, doc["colored_weights"]))
+    del doc["expected"]
+    assert _plot(tmp_path, doc) == derived
+    doc["expected"] = _weighted_fan_doc_of(doc, [{"vector": ["1", "1"], "weight": "7"}], [])
+    assert _plot(tmp_path, doc) == derived
+    assert ">7</text>" not in derived
+
+
+def test_plot_rank1_fan_draws_member_lines(tmp_path):
+    doc = {
+        "format": "fan/1",
+        "space": {"builtin": "sl2u"},
+        "cones": [{"generators": [["1"]], "colors": ["E1"]}, {"generators": [["-1"]], "colors": []}],
+    }
+    svg = _plot(tmp_path, doc)
+    lines = re.findall(r'<line x1="0" y1="0" x2="(\S+)" y2="(\S+)" stroke="#bbbbbb"', svg)
+    assert lines == [("140.00", "0.00"), ("-140.00", "0.00")]
 
 
 def test_plot_unsupported_rank(tmp_path, capsys):
