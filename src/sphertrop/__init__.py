@@ -11,8 +11,6 @@ from .balance import (
     WeightedRayFan,
     assemble,
     check_balancing,
-    check_quotient_balancing,
-    pairing_residual,
     solve_colored_weights,
 )
 from .catalog import builtin_space, reference_fixture, sl2u_family, space_by_id
@@ -79,13 +77,11 @@ __all__ = [
     "branch_rays",
     "builtin_space",
     "check_balancing",
-    "check_quotient_balancing",
     "colored_faces",
     "decolor",
     "determinant",
     "format_puiseux",
     "invariant_factor_valuations",
-    "pairing_residual",
     "parse_puiseux",
     "primitive",
     "quotient_projection",

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 from .lattice import (
-    dot,
     least_integer_point,
     mat_vec,
     primitive,
@@ -125,15 +124,6 @@ def palette_projection(space):
     return quotient_projection(vectors, space.rank)
 
 
-def check_quotient_balancing(wf):
-    """Residual after projecting along the palette directions.
-
-    The projection maps every color vector to zero, so the colored weights
-    drop out of the projected residual.
-    """
-    return mat_vec(palette_projection(wf.space), residual_vector(wf))
-
-
 def check_balancing(wf):
     """Full balancing report: residual, quotient residual, character pairings."""
     residual = residual_vector(wf)
@@ -147,16 +137,6 @@ def check_balancing(wf):
         quotient_residual=mat_vec(palette_projection(wf.space), residual),
         per_character=per_character,
     )
-
-
-def pairing_residual(wf, character):
-    """Pairing of the residual against an integer character vector.
-
-    Vanishing on all basis characters is equivalent to balancing.
-    """
-    if len(character) != wf.space.rank:
-        raise ValueError("character %r has the wrong dimension" % (character,))
-    return dot(residual_vector(wf), tuple(character))
 
 
 def solve_colored_weights(space, rays):

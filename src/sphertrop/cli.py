@@ -4,7 +4,9 @@ Subcommands: ``trop``, ``fan validate|star|decolor``, ``balance
 check|solve-colors``, ``catalog list``, ``plot``.  Exit codes form a stable
 contract for shell harnesses: 0 on success (balanced / valid / feasible),
 1 on a domain failure (unbalanced, invalid fan, infeasible, point off the
-space), 2 on input errors (parse or schema problems).
+space), 2 on input errors (parse or schema problems).  Stderr holds one
+``warning: ...`` line per warning the command raised, then at most one
+``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import functools
 import json
 import re
 import sys
+import warnings
 
 from . import catalog, documents, plotting
 from .balance import assemble, check_balancing, solve_colored_weights
@@ -271,15 +274,22 @@ def _parser():
 
 
 def main(argv=None):
-    """Run one command; every failure is mapped to its exit code here."""
+    """Run one command; every failure is mapped to its exit code here, and
+    every warning it raises is printed as one line before any error."""
     args = _parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (documents.DocumentError, PuiseuxParseError, _CliInputError, plotting.PlotError) as exc:
-        failure, code = exc, EXIT_INPUT
-    except (OffSpaceError, NonIntegerRayError, InvalidColoredConeError) as exc:
-        failure, code = exc, EXIT_DOMAIN
-    print("error: %s" % failure, file=sys.stderr)
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.handler(args)
+        except (documents.DocumentError, PuiseuxParseError, _CliInputError, plotting.PlotError) as exc:
+            failure, code = exc, EXIT_INPUT
+        except (OffSpaceError, NonIntegerRayError, InvalidColoredConeError) as exc:
+            failure, code = exc, EXIT_DOMAIN
+    for warning in caught:
+        print("warning: %s" % warning.message, file=sys.stderr)
+    if failure is not None:
+        print("error: %s" % failure, file=sys.stderr)
     return code
 
 

@@ -242,18 +242,20 @@ def weighted_fan_from_doc(doc):
 
 
 def _colored_weights_from_doc(entries, space):
-    colored = []
+    colored = {}  # palette index -> weight: each color is named once
     for entry in _shaped(entries, list, "'colored_weights'"):
         label = _shaped(_require(entry, "color"), str, "'color'")
         try:
             j = space.color_index(label)
         except KeyError as exc:
             raise DocumentError(exc.args[0]) from None
+        if j in colored:
+            raise DocumentError("color %r repeats in 'colored_weights'" % (label,))
         weight = integer_from_str(_require(entry, "weight"))
         if weight < 0:
             raise DocumentError("colored weight %d for %s is negative" % (weight, label))
-        colored.append((j, weight))
-    return tuple(colored)
+        colored[j] = weight
+    return tuple(colored.items())
 
 
 # ---------------------------------------------------------------------------

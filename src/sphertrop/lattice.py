@@ -140,10 +140,6 @@ def leading_positive(v):
 # matrices (lists of row tuples)
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_vec(rows, x):
     return tuple(dot(tuple(row), x) for row in rows)
 
@@ -169,95 +165,69 @@ def matrix_rank(rows):
 # Smith normal form
 
 
-def _row_op(D, U, i, k, q):
-    # R_i -= q * R_k  on D and U.
-    D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-    U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-
-def _col_op(D, V, j, k, q):
-    # C_j -= q * C_k  on D and V.
-    for row in D:
-        row[j] -= q * row[k]
-    for row in V:
-        row[j] -= q * row[k]
-
-
-def _swap_rows(D, U, i, k):
-    if i == k:
-        return
-    D[i], D[k] = D[k], D[i]
-    U[i], U[k] = U[k], U[i]
-
-
-def _swap_cols(D, V, j, k):
-    if j == k:
-        return
-    for row in D:
-        row[j], row[k] = row[k], row[j]
-    for row in V:
-        row[j], row[k] = row[k], row[j]
-
-
 def smith_normal_form(A):
     """Return (U, D, V) with ``U A V = D`` in Smith normal form.
 
     U and V are unimodular; D is diagonal, nonnegative, with each diagonal
-    entry dividing the next.  One pass places the diagonal entries in turn.
-    At each position the pivot is the smallest-magnitude nonzero entry of
-    the remaining block, ties broken in row-major order; row operations
-    clear its column, column operations its row, and a remainder left by
-    either picks a new pivot.  Once both are clear, the first row (in
-    row-major order) holding an entry the pivot does not divide is added to
-    the pivot row and the position is pivoted again, so each placed entry
-    divides the whole block after it; a pivot of +-1 divides it all and skips
-    that scan.  Its sign is fixed as it is placed.  Non-integer entries raise TypeError.
+    entry dividing the next.  The steps run on one block matrix
+    ``M = [[A, I_m], [I_n, 0]]``: a row step on M's first m rows acts on A
+    and records U, a column step on its first n columns acts on A and
+    records V, and U, D and V are M's three nonzero blocks at the end.  The
+    diagonal entries are placed in turn.  At each position the pivot is the
+    smallest-magnitude nonzero entry of the remaining block, ties broken in
+    row-major order; row steps clear its column, column steps its row, and a
+    remainder left by either picks a new pivot.  Once both are clear, the
+    first row (in row-major order) holding an entry the pivot does not
+    divide is added to the pivot row and the position is pivoted again, so
+    each placed entry divides the whole block after it; a pivot of +-1
+    divides it all and skips that scan.  Its sign is fixed as it is placed.
+    Non-integer entries raise TypeError.
     """
     if any(not isinstance(a, int) for row in A for a in row):
         raise TypeError("smith_normal_form() expects integer entries, got %r" % (A,))
     m = len(A)
     n = len(A[0]) if m else 0
-    D = [[int(a) for a in row] for row in A]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-    for k in range(min(m, n)):
-        while True:
-            best = where = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    a = D[i][j]
-                    if a != 0 and (best is None or abs(a) < best):
-                        best, where = abs(a), (i, j)
-            if where is None:
-                return U, D, V
-            _swap_rows(D, U, k, where[0])
-            _swap_cols(D, V, k, where[1])
-            p = D[k][k]
-            dirty = False
-            for i in range(k + 1, m):
-                if D[i][k] != 0:
-                    _row_op(D, U, i, k, D[i][k] // p)
-                    if D[i][k] != 0:
-                        dirty = True
-            for j in range(k + 1, n):
-                if D[k][j] != 0:
-                    _col_op(D, V, j, k, D[k][j] // p)
-                    if D[k][j] != 0:
-                        dirty = True
-            if dirty:
+    M = [[int(a) for a in row] + [0] * m for row in A] + [[0] * (n + m) for _ in range(n)]
+    for r, row in enumerate(M):
+        row[(n + r) % (n + m)] = 1  # the blocks I_m and I_n
+    k = 0
+    while k < min(m, n):
+        best = None
+        for r in range(k, m):
+            for c in range(k, n):
+                a = M[r][c]
+                if a and (best is None or abs(a) < best):
+                    best, i, j = abs(a), r, c
+        if best is None:
+            break
+        M[k], M[i] = M[i], M[k]
+        if j != k:
+            for row in M:
+                row[k], row[j] = row[j], row[k]
+        p = M[k][k]
+        dirty = False
+        for i in range(k + 1, m):
+            if M[i][k]:
+                q = M[i][k] // p
+                M[i] = [a - q * b for a, b in zip(M[i], M[k])]
+                dirty = dirty or M[i][k] != 0
+        for j in range(k + 1, n):
+            if M[k][j]:
+                q = M[k][j] // p
+                for row in M:
+                    row[j] -= q * row[k]
+                dirty = dirty or M[k][j] != 0
+        if dirty:
+            continue
+        if abs(p) != 1:
+            i = next((i for i in range(k + 1, m) if any(a % p for a in M[i][k + 1 : n])), None)
+            if i is not None:
+                M[k] = [a + b for a, b in zip(M[k], M[i])]
                 continue
-            if abs(p) == 1:
-                break
-            for i in range(k + 1, m):
-                if any(a % p for a in D[i][k + 1 :]):
-                    _row_op(D, U, k, i, -1)
-                    break
-            else:
-                break
-        if D[k][k] < 0:
-            D[k] = [-a for a in D[k]]
-            U[k] = [-a for a in U[k]]
-    return U, D, V
+        if p < 0:
+            M[k] = [-a for a in M[k]]
+        k += 1
+    return [row[n:] for row in M[:m]], [row[:n] for row in M[:m]], [row[:n] for row in M[m:]]
 
 
 def _span_snf(vs, dim):

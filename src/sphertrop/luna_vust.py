@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from .lattice import (
     Cone,
     is_zero_vector,
+    mat_vec,
+    primitive,
     quotient_projection,
     relint_common_point,
     relint_meets,
     saturation_basis,
-    mat_vec,
 )
 
 
@@ -161,6 +162,13 @@ def validate_colored_cone(space, cc, member=None):
     intersection with the valuation cone.  CC2: the relative interior meets
     the valuation cone.  CC3: no selected color vector is zero.  SC: the
     cone contains no line.  Unknown palette indices raise KeyError.
+
+    CC1 is decided without building a cone, and only on a strictly convex
+    cone (a cone with a line is reported SC alone).  There each generator
+    spans an extreme ray, and a sum of elements of the cone that lies on an
+    extreme ray has every summand on it; so CC1 holds exactly when every
+    color vector lies in the cone and every generator lies in the valuation
+    cone or on the ray of a nonzero color vector.
     """
     report = ValidationReport()
     sigma = cc.cone
@@ -173,12 +181,12 @@ def validate_colored_cone(space, cc, member=None):
         if is_zero_vector(space.palette_vector(j)):
             report.add(member, "CC3", "color %s maps to the zero vector" % space.palette[j][0])
 
-    intersection = sigma.intersect(space.valuation_cone)
-    regenerated = Cone(
-        [v for v in color_vectors if not is_zero_vector(v)] + list(intersection.generators),
-        space.rank,
-    )
-    if regenerated != sigma:
+    pointed = sigma.is_pointed()
+    color_rays = {primitive(v)[0] for v in color_vectors if not is_zero_vector(v)}
+    if pointed and not (
+        all(sigma.contains(v) for v in color_vectors)
+        and all(g in color_rays or space.valuation_cone.contains(g) for g in sigma.generators)
+    ):
         report.add(
             member,
             "CC1",
@@ -188,7 +196,7 @@ def validate_colored_cone(space, cc, member=None):
     if not relint_meets(sigma, space.valuation_cone):
         report.add(member, "CC2", "relative interior misses the valuation cone")
 
-    if not sigma.is_pointed():
+    if not pointed:
         report.add(member, "SC", "cone contains a line (not strictly convex)")
     return report
 

@@ -272,6 +272,22 @@ def random_cone(rng, dim, max_gens=None):
     return Cone(gens, dim)
 
 
+def cc1_by_construction(space, cc):
+    """The colored-cone axiom CC1 by its definition.
+
+    The cone equals the cone generated by its nonzero color vectors together
+    with its intersection with the valuation cone; the intersection comes
+    from a dual description, and the two cones are compared as sets.
+    """
+    sigma = cc.cone
+    colors = [space.palette_vector(j) for j in sorted(cc.colors)]
+    intersection = sigma.intersect(space.valuation_cone)
+    regenerated = Cone(
+        [v for v in colors if not is_zero_vector(v)] + list(intersection.generators), space.rank
+    )
+    return regenerated == sigma
+
+
 def subset_face_generators(cone):
     """Generator tuples of all faces, sorted as ``Cone.faces`` sorts them.
 

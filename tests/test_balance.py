@@ -8,8 +8,6 @@ from sphertrop.balance import (
     WeightedRayFan,
     assemble,
     check_balancing,
-    check_quotient_balancing,
-    pairing_residual,
     residual_vector,
     solve_colored_weights,
 )
@@ -135,34 +133,30 @@ def test_check_balancing_unbalanced_witness():
 
 
 def test_pairing_residual_examples():
-    balanced = gl2_reference_fan()
-    assert pairing_residual(balanced, (1, 0)) == 0
-    unbalanced = WeightedRayFan(GL2, (((1, 0), 1),), ())
-    assert pairing_residual(unbalanced, (1, 0)) == 1
-    assert pairing_residual(unbalanced, (0, 0)) == 0
-    with pytest.raises(ValueError):
-        pairing_residual(balanced, (1, 0, 0))
+    balanced = check_balancing(gl2_reference_fan())
+    assert balanced.per_character == (("chi1", 0), ("chi2", 0))
+    unbalanced = check_balancing(WeightedRayFan(GL2, (((1, 0), 1),), ()))
+    assert unbalanced.per_character == (("chi1", 1), ("chi2", 0))
 
 
 def test_pairing_reconstructs_residual():
     rng = random.Random(31)
     for _ in range(50):
         wf = random_balanced_fan(rng, builtin_space("gln", rng.choice([2, 3])))
-        residual = residual_vector(wf)
-        n = wf.space.rank
-        basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-        assert tuple(pairing_residual(wf, e) for e in basis) == residual
+        report = check_balancing(wf)
+        assert tuple(label for label, _ in report.per_character) == wf.space.character_basis_labels
+        assert tuple(pairing for _, pairing in report.per_character) == residual_vector(wf)
 
 
 # --- quotient balancing ---------------------------------------------------------------
 
 
 def test_quotient_balancing_examples():
-    assert check_quotient_balancing(gl2_reference_fan()) == (0,)
+    assert check_balancing(gl2_reference_fan()).quotient_residual == (0,)
     torus_fan = WeightedRayFan(TORUS2, (((1, 0), 1),), ())
-    assert check_quotient_balancing(torus_fan) == residual_vector(torus_fan) == (1, 0)
+    assert check_balancing(torus_fan).quotient_residual == residual_vector(torus_fan) == (1, 0)
     unbalanced = WeightedRayFan(GL2, (((1, 0), 1),), ())
-    assert check_quotient_balancing(unbalanced) == (1,)
+    assert check_balancing(unbalanced).quotient_residual == (1,)
 
 
 def test_balanced_implies_quotient_balanced():

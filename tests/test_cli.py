@@ -411,6 +411,14 @@ def test_bad_input_is_exit_2(capsys, tmp_path, case):
     assert err.startswith("error:")
 
 
+REPEATED_E2 = [{"color": "E2", "weight": "1"}, {"color": "E2", "weight": "0"}]
+
+
+def _messages_are_lines(err):
+    """Every stderr line is one ``error:`` or ``warning:`` message."""
+    return all(line.startswith(("error: ", "warning: ")) for line in err.splitlines())
+
+
 INPUT_ERROR_TEXTS = {
     "trop_without_arguments": (lambda tmp: ["trop"], "trop needs a space id and coordinates"),
     "trop_without_coordinates": (lambda tmp: ["trop", "torus2"], "trop needs a space id and coordinates"),
@@ -471,6 +479,17 @@ INPUT_ERROR_TEXTS = {
         ),
         "'color' must be a JSON string, got 3",
     ),
+    # colored weights name colors by label, so each label is named once
+    "curve_repeated_colored_weight": (
+        lambda tmp: _curve_doc_with(tmp, lambda doc: doc.update(colored_weights=REPEATED_E2)),
+        "color 'E2' repeats in 'colored_weights'",
+    ),
+    "weighted_fan_repeated_colored_weight": (
+        lambda tmp: _weighted_fan_file(
+            tmp, json.dumps(dict(_load_fixture_doc("gl2_line_curve")["expected"], colored_weights=REPEATED_E2))
+        ),
+        "color 'E2' repeats in 'colored_weights'",
+    ),
     "curve_branch_without_coordinates": (
         lambda tmp: _curve_doc_with(tmp, lambda doc: doc["branches"].__setitem__(0, {})),
         "branch needs 'coords' or 'matrix'",
@@ -513,6 +532,7 @@ def test_input_error_text(capsys, tmp_path, case):
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out, err) == (2, "", "error: %s\n" % message)
     assert "Fraction(" not in err
+    assert _messages_are_lines(err)
 
 
 def _torus_curve_with_branch(tmp, coords):
@@ -572,6 +592,7 @@ def test_domain_error_text(capsys, tmp_path, case):
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out, err) == (1, "", "error: %s\n" % message)
     assert "Fraction(" not in err
+    assert _messages_are_lines(err)
 
 
 @pytest.mark.parametrize("coords", ["(1/0, 1)", "(1/00*t, 1)", "(t^(1/0), 1)"])
@@ -689,6 +710,7 @@ def test_mutated_fixture_documents_exit_cleanly(capsys, tmp_path):
             err = capsys.readouterr().err
             assert code in (0, 1, 2), (case, edit, command, code)
             assert "Fraction(" not in err, (case, edit, command, err)
+            assert _messages_are_lines(err), (case, edit, command, err)
         elapsed = time.perf_counter() - started
         assert elapsed < FUZZ_CASE_SECONDS, (case, edit, elapsed)
 
@@ -825,6 +847,25 @@ def test_plot_fixtures_through_the_entry_point(tmp_path):
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "", ""), name
         assert out.read_text().count("<polygon") == 1, name
+
+
+def test_warnings_are_one_line_each_through_the_entry_point(tmp_path):
+    """A branch that tropicalizes to zero is dropped with one ``warning:`` line."""
+    doc = {
+        "format": "curve/1",
+        "space": {"builtin": "torus2"},
+        "branches": [{"coords": ["2", "3"]}, {"coords": ["t", "1"]}],
+    }
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    root = pathlib.Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    warning = "warning: branch 0 tropicalizes to zero and is excluded from the ray fan\n"
+    for command, code in ((["balance", "check"], 1), (["plot", "--out", str(tmp_path / "out.svg")], 0)):
+        done = subprocess.run(
+            [sys.executable, "-m", "sphertrop", *command, str(path)], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stderr) == (code, warning), command
 
 
 def test_plot_rank1(tmp_path, capsys):

@@ -156,6 +156,9 @@ def _palette_matrix(vectors, rank):
 
 # (U, D, V) recorded before the Smith form became one pass; on these inputs
 # every pivot divides the block after it, so the operations are unchanged.
+# The diag and rand5 cases were recorded before the steps moved onto one
+# block matrix; on diag(2, 3) and diag(2, 3, 5, 7) the divisibility step adds
+# a row to the pivot row once and three times.
 PINNED_SNF = {
     "gln2": (
         _palette_matrix([v for _, v in builtin_space("gln", 2).palette], 2),
@@ -190,6 +193,36 @@ PINNED_SNF = {
     "ray4": (
         [[1], [4], [-2], [3]],
         ([[1, 0, 0, 0], [-4, 1, 0, 0], [2, 0, 1, 0], [-3, 0, 0, 1]], [[1], [0], [0], [0]], [[1]]),
+    ),
+    "diag23": ([[2, 0], [0, 3]], ([[1, 1], [3, 2]], [[1, 0], [0, 6]], [[-1, 3], [1, -2]])),
+    "diag2357": (
+        [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]],
+        (
+            [[1, 1, 0, 0], [-3, -2, 1, 0], [15, 10, -6, 1], [1365, 910, -546, 90]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 210]],
+            [[-1, -3, 45, -105], [1, 2, -30, 70], [0, -1, 18, -42], [0, 0, 13, -30]],
+        ),
+    ),
+    # random.Random(23), entries in [-9, 9], drawn row by row
+    "rand5": (
+        [[0, -7, -9, 9, 0], [4, 3, 7, 2, -5], [-3, -1, 5, -9, -2], [5, -9, -6, -7, 6], [4, -9, 7, 4, 2]],
+        (
+            [
+                [0, 0, -1, 0, 0],
+                [0, -1, -3, 0, 0],
+                [-1, 28, 91, 0, 0],
+                [22424, -628162, -2041526, 23, -15],
+                [182282, -5106252, -16595315, 187, -122],
+            ],
+            [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 94107]],
+            [
+                [0, -2, 107, 6, -69406],
+                [1, 4, -50, -9, 104166],
+                [0, 0, 0, 8, -92615],
+                [0, 0, -39, 1, -11597],
+                [0, 1, 40, 11, -127325],
+            ],
+        ),
     ),
 }
 

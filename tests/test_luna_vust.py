@@ -7,7 +7,7 @@ import pytest
 from sphertrop import lattice, luna_vust
 from sphertrop.catalog import builtin_space, reference_fixture
 from sphertrop.fuzz import MUTATION_KINDS, mutations
-from sphertrop.lattice import Cone, signed_basis
+from sphertrop.lattice import Cone, signed_basis, vec_scale
 from sphertrop.luna_vust import (
     ColoredCone,
     ColoredFan,
@@ -19,6 +19,8 @@ from sphertrop.luna_vust import (
     validate_colored_cone,
     validate_colored_fan,
 )
+
+from helpers import cc1_by_construction, random_cone
 
 GL2 = builtin_space("gln", 2)
 E = 0  # palette index of the single gl2 color, vector (-1, 1)
@@ -50,6 +52,35 @@ def test_validate_colored_cone_colored_two_dim():
 def test_validate_strict_convexity():
     line = cc([(1, 1), (-1, -1)])
     assert "SC" in validate_colored_cone(GL2, line).axioms()
+
+
+def test_cone_with_a_line_reports_sc_without_cc1():
+    plane = ColoredCone(Cone(signed_basis(2), 2))
+    assert not cc1_by_construction(GL2, plane)
+    assert validate_colored_cone(GL2, plane).axioms() == {"SC"}
+
+
+def test_cc1_rule_matches_construction_on_strictly_convex_cones():
+    rng = random.Random(2301)
+    outcomes = {True: 0, False: 0}
+    while sum(outcomes.values()) < 2000:
+        dim = rng.randint(1, 3)
+        sigma = random_cone(rng, dim)
+        if not sigma.is_pointed():
+            continue
+        palette = []
+        for k in range(rng.randint(0, 3)):
+            if rng.random() < 0.4:  # a multiple of a generator
+                v = vec_scale(rng.randint(1, 3), rng.choice(sigma.generators))
+            else:
+                v = tuple(rng.randint(-2, 2) for _ in range(dim))
+            palette.append(("D%d" % k, v))
+        space = SphericalSpace("random", dim, random_cone(rng, dim), tuple(palette))
+        member = ColoredCone(sigma, frozenset(j for j in range(len(palette)) if rng.random() < 0.6))
+        holds = cc1_by_construction(space, member)
+        assert ("CC1" not in validate_colored_cone(space, member).axioms()) == holds, member
+        outcomes[holds] += 1
+    assert min(outcomes.values()) >= 300, outcomes
 
 
 def test_validate_unknown_palette_index():
