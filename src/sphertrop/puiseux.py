@@ -347,6 +347,70 @@ def _check_square(M):
     return n
 
 
+# the cap on n * (span + 1) * bits, the width of a packed minor (see _pack); a
+# wider matrix is eliminated on its PuiseuxPoly entries
+PACKED_BITS = 1 << 16
+
+
+def _pack(M):
+    """Pack M for the int elimination: ``(work, bits, den, scale, low, first)`` or None.
+
+    ``scale * t^(-low/den) * M`` has entries a(u) in Z[u], u = t^(1/den), and
+    ``work`` holds each as the int a(2^bits).  Its minors, which are all the
+    entries the elimination keeps, have coefficients at most the product R of
+    its row sums of |coefficients|; 2^(bits-1) > R, so an int packs one
+    polynomial.  ``first`` is M's first least-valuation entry, row-major.
+    None when M is zero or a minor could take more than ``PACKED_BITS`` bits.
+    """
+    den = lcm(*[p._den for row in M for p in row])
+    scale = lcm(*[p._scale for row in M for p in row])
+    low, high, first = INF, -INF, None
+    bound = 1
+    for row in M:
+        total = 0
+        for p in row:
+            ints = p._ints
+            if ints:
+                f = den // p._den
+                lo, hi = ints[0][0] * f, ints[-1][0] * f
+                if lo < low:
+                    low, first = lo, p
+                if hi > high:
+                    high = hi
+                total += sum([abs(m) for _, m in ints]) * (scale // p._scale)
+        bound *= total or 1
+    if first is None:
+        return None
+    bits = (bound.bit_length() + 8) // 8 * 8
+    if len(M) * (high - low + 1) * bits > PACKED_BITS:
+        return None
+    work = []
+    for row in M:
+        packed = []
+        for p in row:
+            f, g, x = den // p._den, scale // p._scale, 0
+            for k, m in p._ints:
+                x += m * g << bits * (k * f - low)
+            packed.append(x)
+        work.append(packed)
+    return work, bits, den, scale, low, first
+
+
+def _unpack(x, bits, den):
+    """The polynomial a(t^(1/den)), not reduced, whose packed int a(2^bits) is ``x``."""
+    width, size, half = bits // 8, x.bit_length() // bits + 1, 1 << (bits - 1)
+    # adding half to every digit makes every digit nonnegative: one to_bytes pass reads them
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    data = (x + offset).to_bytes(width * size, "little")
+    digits = (int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * size, width))
+    return _make(den, 1, tuple((e, m) for e, m in enumerate(digits) if m))
+
+
+def _divide_ints(num, d):
+    q, r = divmod(num, d)
+    return None if r else q
+
+
 def _pivots(M):
     """Fraction-free (Bareiss) elimination, pivoting on a least-valuation entry.
 
@@ -358,18 +422,28 @@ def _pivots(M):
     integral over the valuation ring; so the k-th pivot is a k x k minor of
     least valuation (Caruso, Roe and Vaccon, ISSAC 2015).  Elimination stops
     at the first step whose remaining block is all zero.
+
+    The steps run on the ints of :func:`_pack`, where each product, exact
+    division and valuation is one int operation, and only the pivots are
+    unpacked; a matrix too wide to pack runs them on its PuiseuxPoly entries.
     """
     n = _check_square(M)
-    work = [list(row) for row in M]
+    packed = _pack(M)
+    if packed:
+        work, bits, den, scale, low, first = packed
+        valuation, divide = lambda x: ((x & -x).bit_length() - 1) // bits, _divide_ints
+    else:
+        work, valuation, divide = [list(row) for row in M], PuiseuxPoly.val, divexact
     sign = 1
     pivots = []
     for k in range(n):
         best = INF
         for i in range(k, n):
             for j in range(k, n):
-                v = work[i][j].val()
-                if v < best:
-                    best, pi, pj = v, i, j
+                if work[i][j]:
+                    v = valuation(work[i][j])
+                    if v < best:
+                        best, pi, pj = v, i, j
         if best == INF:
             break
         if pi != k:
@@ -387,11 +461,15 @@ def _pivots(M):
                 if lead and work[k][j]:
                     num = num - lead * work[k][j]
                 if pivots:
-                    num = divexact(num, pivots[-1])
+                    num = divide(num, pivots[-1])
                     if num is None:
                         raise ArithmeticError("non-exact Bareiss division")
                 row[j] = num
         pivots.append(pivot)
+    if packed:
+        # the k-th pivot is a k x k minor of scale * t^(-low/den) * M
+        restore = lambda k, x: _unpack(x, bits, den) * _make(den, scale**k, ((k * low, 1),))
+        pivots = [first] + [restore(k, x) for k, x in enumerate(pivots[1:], 2)]
     return sign, pivots
 
 
@@ -413,7 +491,8 @@ def minor_valuation_profile(M):
     The valuations of the elimination pivots: pivoting on an entry of least
     valuation makes the k-th pivot, by Sylvester's identity a k x k minor,
     one of least valuation.  Sizes above the rank give INF.  The work is
-    O(n^3) Puiseux products.
+    O(n^3) operations on packed minors of at most ``PACKED_BITS`` bits, or
+    O(n^3) Puiseux products for a matrix too wide to pack.
     """
     _, pivots = _pivots(M)
     return [p.val() for p in pivots] + [INF] * (len(M) - len(pivots))

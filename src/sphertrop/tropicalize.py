@@ -96,7 +96,8 @@ def invariant_factor_valuations(M):
     :func:`minor_valuation_profile` reads every d_k off one fraction-free
     elimination: by Sylvester's identity its k-th pivot is a k x k minor,
     and pivoting on a least-valuation entry makes it one of least
-    valuation, so the work is O(n^3) Puiseux products.
+    valuation, so the work is O(n^3) operations on packed ints (or on
+    Puiseux polynomials, for a matrix too wide to pack).
     Raises :class:`OffSpaceError` on singular matrices.
     """
     ds = minor_valuation_profile(M)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from sphertrop.documents import DocumentError
 from sphertrop.lattice import Cone, dot, primitive, is_zero_vector
-from sphertrop.puiseux import INF, PuiseuxParseError, PuiseuxPoly, _from_ratios, determinant
+from sphertrop.puiseux import INF, PuiseuxParseError, PuiseuxPoly, _from_ratios, determinant, divexact
 from sphertrop.tropicalize import OffSpaceError
 
 EXPONENTS = [Fraction(n, 2) for n in range(-4, 5)]
@@ -396,3 +396,46 @@ def cartan_valuations_by_elimination(M):
             rest.append([pivot * a - lead * b for a, b in zip(row, top)])
         work = rest
     return tuple(reversed(increasing))
+
+
+def reference_pivots(M):
+    """Reference for ``puiseux._pivots``: the same Bareiss elimination on PuiseuxPoly entries.
+
+    Pivots on the first entry of least valuation, row-major, and divides
+    each updated entry by the previous pivot with ``divexact``; returns
+    ``(sign, pivots)`` with ``sign`` the parity of the row and column swaps.
+    """
+    n = len(M)
+    work = [list(row) for row in M]
+    sign = 1
+    pivots = []
+    for k in range(n):
+        best = INF
+        for i in range(k, n):
+            for j in range(k, n):
+                v = work[i][j].val()
+                if v < best:
+                    best, pi, pj = v, i, j
+        if best == INF:
+            break
+        if pi != k:
+            work[k], work[pi] = work[pi], work[k]
+            sign = -sign
+        if pj != k:
+            for row in work:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            row, lead = work[i], work[i][k]
+            for j in range(k + 1, n):
+                num = pivot * row[j]
+                if lead and work[k][j]:
+                    num = num - lead * work[k][j]
+                if pivots:
+                    num = divexact(num, pivots[-1])
+                    if num is None:
+                        raise ArithmeticError("non-exact Bareiss division")
+                row[j] = num
+        pivots.append(pivot)
+    return sign, pivots

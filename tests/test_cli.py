@@ -66,6 +66,16 @@ def test_trop_gln2_matrix(capsys):
     assert doc["coords"] == ["2", "0"]
 
 
+def test_trop_gln2_with_sparse_exponents(capsys):
+    # too wide to pack: the elimination runs on the polynomials within a stated budget
+    started = time.perf_counter()
+    code, out, err = run(capsys, "trop", "gln2", "[[t^1000000 + 1, 1], [2, t^500000 + 3]]")
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"format": "tropical-point/1", "space": "gln2", "coords": ["0", "0"]}
+    assert elapsed < 0.05
+
+
 def test_trop_torus_vector(capsys):
     code, out, _ = run(capsys, "trop", "torus2", "(t^2, t^-1)")
     assert code == 0

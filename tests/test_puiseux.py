@@ -12,6 +12,8 @@ from sphertrop.puiseux import (
     INF,
     PuiseuxParseError,
     PuiseuxPoly,
+    _pack,
+    _pivots,
     determinant,
     divexact,
     format_puiseux,
@@ -29,6 +31,7 @@ from helpers import (
     random_poly,
     random_unit_matrix,
     reference_parse_puiseux,
+    reference_pivots,
 )
 
 t = PuiseuxPoly.t_power(1)
@@ -250,15 +253,23 @@ def test_minor_profile_against_all_minors():
         assert minor_valuation_profile(M) == _profile_by_minors(M)
 
 
-def test_minor_profile_does_cubic_polynomial_work(monkeypatch):
+def _gln_branch(rng, a):
     # a gln-shaped branch g diag(t^a) h with integral units g and h
-    rng = random.Random(17)
-    n = 7
-    a = [3, -1, 0, 2, -2, 1, 4]
+    n = len(a)
     g = random_unit_matrix(rng, n)
     h = random_unit_matrix(rng, n)
     gd = [[g[i][k] * PuiseuxPoly.t_power(a[k]) for k in range(n)] for i in range(n)]
-    M = [[sum((gd[i][k] * h[k][j] for k in range(n)), zero) for j in range(n)] for i in range(n)]
+    return [[sum((gd[i][k] * h[k][j] for k in range(n)), zero) for j in range(n)] for i in range(n)]
+
+
+def test_minor_profile_does_cubic_polynomial_work(monkeypatch):
+    rng = random.Random(17)
+    n = 7
+    a = [3, -1, 0, 2, -2, 1, 4]
+    packed = _gln_branch(rng, a)
+    # exponents a thousand times wider: the packed minors would pass PACKED_BITS
+    wide = _gln_branch(rng, [1000 * e for e in a])
+    assert _pack(packed) is not None and _pack(wide) is None
     calls = []
     original = PuiseuxPoly.__mul__
 
@@ -267,9 +278,72 @@ def test_minor_profile_does_cubic_polynomial_work(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(PuiseuxPoly, "__mul__", counting)
-    profile = minor_valuation_profile(M)
-    assert profile == list(itertools.accumulate(sorted(a)))
+    assert minor_valuation_profile(packed) == list(itertools.accumulate(sorted(a)))
+    # the packed elimination multiplies only to restore the scale of pivots 2..n
+    assert len(calls) == n - 1
+    calls.clear()
+    assert minor_valuation_profile(wide) == list(itertools.accumulate(sorted(1000 * e for e in a)))
     assert len(calls) <= n**3
+
+
+def _seeded_entry(rng, zeros):
+    # up to three terms, exponents in [-6, 6] over denominators 1-3, coefficients up to 1000/7
+    if rng.random() < zeros:
+        return zero
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        coefficient = Fraction(rng.choice((-1, 1)) * rng.randint(1, 1000), rng.randint(1, 7))
+        terms.append((Fraction(rng.randint(-6, 6), rng.randint(1, 3)), coefficient))
+    return PuiseuxPoly(terms)
+
+
+def test_pivots_equal_the_puiseux_elimination():
+    rng = random.Random(18)
+    for case in range(2000):
+        n = rng.choices(range(1, 7), weights=(10, 25, 30, 25, 9, 1))[0]
+        zeros = rng.choice((0, 0.3, 0.7))
+        M = [[_seeded_entry(rng, zeros) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.25:
+            M[rng.randrange(1, n)] = list(M[0])  # a repeated row: rank deficient
+        if case % 40 == 0:
+            # a far or finely divided exponent beside t: too wide to pack
+            far = rng.choice((10000, -10000, Fraction(1, 9973)))
+            M[rng.randrange(n)][rng.randrange(n)] += PuiseuxPoly({far: rng.randint(1, 9), 1: 1})
+            assert _pack(M) is None
+        assert _pivots(M) == reference_pivots(M), case
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(3, 5), (255, 257), (-255, 257), (255, -257), (10**40, 10**40 + 1), (-(10**40), 10**40), (2**132 - 1, -(2**132) - 1)],
+    ids=["3,5", "255,257", "-255,257", "255,-257", "1e40,1e40+1", "-1e40,1e40", "2^132-1,-2^132-1"],
+)
+def test_packing_bound_at_its_edge(a, b):
+    # the determinant's coefficient a*b is as large as the product of the row
+    # sums allows; 255 * 257 = 2^16 - 1 and (2^132 - 1)(2^132 + 1) = 2^264 - 1
+    # need every bit of the packing, sign bit included
+    for ea, eb in ((0, 0), (1, Fraction(-1, 2))):
+        M = [[PuiseuxPoly.t_power(ea, a), zero], [zero, PuiseuxPoly.t_power(eb, b)]]
+        assert determinant(M) == PuiseuxPoly.t_power(ea + eb, a * b)
+        assert _pivots(M) == reference_pivots(M)
+
+
+SPARSE_SECONDS = 0.05  # budget for one elimination on sparse exponents
+
+
+def test_sparse_exponents_take_the_puiseux_path():
+    cases = [
+        [[parse_puiseux("t^1000000 + 1"), one], [PuiseuxPoly.constant(2), parse_puiseux("t^500000 + 3")]],
+        # exponents 1/p for the primes p up to 23: the common denominator is 223,092,870
+        [[PuiseuxPoly.t_power(Fraction(1, p)) for p in row] for row in ((2, 3, 5), (7, 11, 13), (17, 19, 23))],
+    ]
+    for M in cases:
+        assert _pack(M) is None
+        started = time.perf_counter()
+        profile = minor_valuation_profile(M)
+        elapsed = time.perf_counter() - started
+        assert profile == _profile_by_minors(M)
+        assert elapsed < SPARSE_SECONDS
 
 
 # --- exact division and fractions -------------------------------------------------
