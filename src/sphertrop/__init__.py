@@ -13,7 +13,7 @@ from .balance import (
     check_balancing,
     solve_colored_weights,
 )
-from .catalog import builtin_space, reference_fixture, sl2u_family, space_by_id
+from .catalog import builtin_space, sl2u_family, space_by_id
 from .lattice import (
     Cone,
     ZeroVectorError,
@@ -39,13 +39,11 @@ from .puiseux import (
     determinant,
     format_puiseux,
     parse_puiseux,
-    val,
 )
 from .tropicalize import (
     CurveBranch,
     NonIntegerRayError,
     OffSpaceError,
-    TropicalPoint,
     ZeroTropicalizationError,
     branch_rays,
     invariant_factor_valuations,
@@ -69,7 +67,6 @@ __all__ = [
     "PuiseuxPoly",
     "SphericalSpace",
     "StarResult",
-    "TropicalPoint",
     "WeightedRayFan",
     "ZeroTropicalizationError",
     "ZeroVectorError",
@@ -85,7 +82,6 @@ __all__ = [
     "parse_puiseux",
     "primitive",
     "quotient_projection",
-    "reference_fixture",
     "relint_meets",
     "sl2u_family",
     "smith_normal_form",
@@ -96,7 +92,6 @@ __all__ = [
     "trop_point",
     "trop_sl2u",
     "trop_torus",
-    "val",
     "validate_colored_cone",
     "validate_colored_fan",
 ]

@@ -118,23 +118,19 @@ def residual_vector(wf):
     return total
 
 
-def palette_projection(space):
-    """Quotient projection of the lattice by the span of the palette vectors."""
-    vectors = [v for _, v in space.palette]
-    return quotient_projection(vectors, space.rank)
-
-
 def check_balancing(wf):
     """Full balancing report: residual, quotient residual, character pairings."""
     residual = residual_vector(wf)
     balanced = all(a == 0 for a in residual)
+    # the lattice modulo the span of the palette vectors
+    projection = quotient_projection([v for _, v in wf.space.palette], wf.space.rank)
     per_character = tuple(
         (label, residual[i]) for i, label in enumerate(wf.space.character_basis_labels)
     )
     return BalanceReport(
         residual=residual,
         balanced=balanced,
-        quotient_residual=mat_vec(palette_projection(wf.space), residual),
+        quotient_residual=mat_vec(projection, residual),
         per_character=per_character,
     )
 

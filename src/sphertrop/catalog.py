@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import tropicalize
+from .balance import assemble
 from .lattice import Cone
 from .luna_vust import SphericalSpace
 
@@ -153,47 +154,19 @@ def space_by_id(ident):
     return builtin_space(*parse_space_id(ident))
 
 
-@dataclass(frozen=True)
-class CurveFixture:
-    """A reference curve: branches plus the fan its tropicalization must give."""
-
-    name: str
-    space: SphericalSpace
-    branches: tuple
-    colored_weights: tuple
-    expected: object  # WeightedRayFan
-
-
-# Each fixture ``<name>`` is the packaged document ``fixtures/<name>.json``.
+# Each fixture ``<name>`` is the packaged document ``fixtures/<name>.json``,
+# listed in sorted order.
 FIXTURE_FILES = ("gl2_fig1_fan", "gl2_line_curve", "torus_line_curve")
 
 
-def fixture_names():
-    return tuple(sorted(FIXTURE_FILES))
-
-
-def _load_fixture_doc(name):
+def fixture_doc(name):
+    """The packaged fixture document ``name``, a fan/1 or curve/1 document to
+    read with ``documents.fan_from_doc`` or ``documents.curve_from_doc``;
+    KeyError for a name not in :data:`FIXTURE_FILES`."""
     if name not in FIXTURE_FILES:
         raise KeyError("unknown fixture %r" % (name,))
     path = resources.files("sphertrop").joinpath("fixtures", name + ".json")
     return json.loads(path.read_text())
-
-
-def reference_fixture(name):
-    """Load a named fixture.
-
-    ``gl2_fig1_fan`` gives a ColoredFan; the curve fixtures give
-    :class:`CurveFixture` objects.
-    """
-    from . import documents
-
-    doc = _load_fixture_doc(name)
-    if doc.get("format") == "fan/1":
-        return documents.fan_from_doc(doc)
-    if doc.get("format") == "curve/1":
-        space, branches, colored, expected = documents.curve_from_doc(doc)
-        return CurveFixture(name, space, branches, colored, expected)
-    raise ValueError("fixture %r has unsupported format %r" % (name, doc.get("format")))
 
 
 def sl2u_family(d, e):
@@ -203,17 +176,7 @@ def sl2u_family(d, e):
     weight e on the single color; requires ``1 <= d`` and ``0 <= e <= d``.
     At e = d the ray ``(+1)`` has weight zero and is left out.
     """
-    from .balance import assemble
-
     if d < 1 or not 0 <= e <= d:
         raise ValueError("need 1 <= d and 0 <= e <= d, got d=%r e=%r" % (d, e))
     rays = [((-1,), d)] + ([((1,), d - e)] if e < d else [])
     return assemble(builtin_space("sl2_u"), rays, [(0, e)])
-
-
-def catalog_listing():
-    """Human-oriented list of built-in spaces and fixtures for the CLI."""
-    return {
-        "spaces": [dict(family.row) for family in FAMILIES.values()],
-        "fixtures": list(fixture_names()),
-    }

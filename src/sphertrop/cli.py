@@ -77,7 +77,7 @@ def _read_doc(path):
 
 def _fixture_doc(name):
     try:
-        return catalog._load_fixture_doc(name)
+        return catalog.fixture_doc(name)
     except KeyError as exc:
         raise _CliInputError(exc.args[0]) from None
 
@@ -137,7 +137,7 @@ def cmd_trop(args):
             % (space_id, documents.rational_to_str(arity), len(branch.coords))
         )
     space = catalog.builtin_space(family, n)  # built only once the arity fits
-    _emit(documents.tropical_point_to_doc(trop_point(space, branch)), args)
+    _emit(documents.tropical_point_to_doc(space, trop_point(space, branch)), args)
     return EXIT_OK
 
 

@@ -155,7 +155,7 @@ def space_from_doc(doc):
     ):
         raise DocumentError("'characters' must be empty or %d distinct strings, got %r" % (rank, characters))
     return SphericalSpace(
-        name=str(doc.get("name", "space")),
+        name=_shaped(doc.get("name", "space"), str, "'name'"),
         rank=rank,
         valuation_cone=valuation_cone,
         palette=tuple(palette.items()),
@@ -329,11 +329,11 @@ def curve_from_doc(doc):
 # results
 
 
-def tropical_point_to_doc(point):
+def tropical_point_to_doc(space, coords):
     return {
         "format": "tropical-point/1",
-        "space": point.space.name,
-        "coords": vector_to_doc(point.coords),
+        "space": space.name,
+        "coords": vector_to_doc(coords),
     }
 
 
@@ -372,7 +372,13 @@ def colored_weights_to_doc(space, solution):
 
 
 def catalog_to_doc():
-    return {"format": "catalog/1", **catalog.catalog_listing()}
+    """The built-in spaces, one row per family in ``catalog list`` order, and
+    the packaged fixtures."""
+    return {
+        "format": "catalog/1",
+        "spaces": [dict(family.row) for family in catalog.FAMILIES.values()],
+        "fixtures": list(catalog.FIXTURE_FILES),
+    }
 
 
 def star_to_doc(result):

@@ -203,11 +203,6 @@ def _coerce(x):
     return NotImplemented
 
 
-def val(p):
-    """t-adic valuation: least exponent of ``p``, or INF for the zero element."""
-    return p.val()
-
-
 # ---------------------------------------------------------------------------
 # text format: sums of `c*t^(a/b)` terms, e.g. ``1 + 3/2*t^(1/2) - t^2``
 

@@ -32,17 +32,6 @@ class NonIntegerRayError(ValueError):
 
 
 @dataclass(frozen=True)
-class TropicalPoint:
-    """Exact rational point in the valuation cone of its space."""
-
-    space: object
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-
-
-@dataclass(frozen=True)
 class CurveBranch:
     """Coordinates of a curve branch over the Puiseux field.
 
@@ -112,7 +101,8 @@ def invariant_factor_valuations(M):
 
 
 def trop_point(space, branch):
-    """Tropicalize a branch in the given catalog space.
+    """Tropicalize a branch in the given catalog space: the tuple of exact
+    rational coordinates of its point in the valuation cone.
 
     Applies the map of the space's catalog family and checks that the
     result lies in the valuation cone.  A branch with the wrong number of
@@ -125,9 +115,9 @@ def trop_point(space, branch):
     n = family.arity(space.rank)
     if len(coords) != n:
         raise OffSpaceError("branch has %d coordinates, expected %d" % (len(coords), n))
-    point = TropicalPoint(space, family.trop(branch, space.rank))
-    if not space.valuation_cone.contains(point.coords):
-        numbers = ", ".join(map(str, point.coords))  # as documents write them: "-1", "1/2"
+    point = family.trop(branch, space.rank)
+    if not space.valuation_cone.contains(point):
+        numbers = ", ".join(map(str, point))  # as documents write them: "-1", "1/2"
         raise OffSpaceError("tropical point (%s) escapes the valuation cone" % numbers)
     return point
 
@@ -140,14 +130,14 @@ def trop_branch_ray(space, branch):
     coordinates are rejected with dedicated errors.
     """
     point = trop_point(space, branch)
-    if all(c == 0 for c in point.coords):
+    if all(c == 0 for c in point):
         raise ZeroTropicalizationError("branch tropicalizes to zero; no boundary ray")
     ints = []
-    for c in point.coords:
+    for c in point:
         if c.denominator != 1:
             raise NonIntegerRayError(
                 "tropical point (%s) is fractional; rescale the branch parameter"
-                % ", ".join(map(str, point.coords))
+                % ", ".join(map(str, point))
             )
         ints.append(int(c))
     return primitive(tuple(ints))

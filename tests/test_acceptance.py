@@ -15,10 +15,11 @@ from sphertrop.balance import (
     residual_vector,
     solve_colored_weights,
 )
-from sphertrop.catalog import builtin_space, reference_fixture, sl2u_family
+from sphertrop.catalog import builtin_space, fixture_doc, sl2u_family
+from sphertrop.documents import curve_from_doc, fan_from_doc
 from sphertrop.fuzz import mutations
 from sphertrop.luna_vust import star, validate_colored_fan
-from sphertrop.puiseux import PuiseuxPoly, determinant, val
+from sphertrop.puiseux import PuiseuxPoly, determinant
 from sphertrop.tropicalize import branch_rays, invariant_factor_valuations
 
 from helpers import (
@@ -44,11 +45,11 @@ def _mat_mul(A, B):
 
 def test_criterion_1_gl2_end_to_end():
     started = time.monotonic()
-    fixture = reference_fixture("gl2_line_curve")
-    rays = branch_rays(fixture.space, fixture.branches)
+    space, branches, _, _ = curve_from_doc(fixture_doc("gl2_line_curve"))
+    rays = branch_rays(space, branches)
     assert sorted(rays) == [((-1, -1), 1), ((1, 0), 2)]
-    fan = assemble(fixture.space, rays, [(0, 1)])  # colored weight 1 on E=(-1,1)
-    assert fixture.space.palette[0][1] == (-1, 1)
+    fan = assemble(space, rays, [(0, 1)])  # colored weight 1 on E=(-1,1)
+    assert space.palette[0][1] == (-1, 1)
     report = check_balancing(fan)
     assert report.residual == (0, 0)
     assert report.balanced
@@ -88,7 +89,7 @@ def test_criterion_3_invariant_factor_oracle_equivalence():
         mu = invariant_factor_valuations(M)
         assert mu == cartan_valuations_by_elimination(M)
         assert all(a >= b for a, b in zip(mu, mu[1:]))
-        assert sum(mu) == val(determinant(M))
+        assert sum(mu) == determinant(M).val()
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, "took %.1fs" % elapsed
     _report(3, "minor- and elimination-based invariant factors agree on %d samples [%.1fs]" % (len(samples), elapsed))
@@ -112,7 +113,7 @@ def test_criterion_4_integral_unit_invariance():
 
 
 def test_criterion_5_fan_axioms_and_fuzzer():
-    fan = reference_fixture("gl2_fig1_fan")
+    fan = fan_from_doc(fixture_doc("gl2_fig1_fan"))
     assert validate_colored_fan(fan).ok
     rng = random.Random(77)
     muts = mutations(fan, rng, 55)
@@ -161,8 +162,8 @@ def _random_possibly_unbalanced_fan(rng, space):
 def test_criterion_7_pairing_form_equivalence():
     rng = random.Random(4001)
     fixtures = [
-        reference_fixture("gl2_line_curve").expected,
-        reference_fixture("torus_line_curve").expected,
+        curve_from_doc(fixture_doc("gl2_line_curve"))[3],
+        curve_from_doc(fixture_doc("torus_line_curve"))[3],
         sl2u_family(3, 1),
     ]
     fans = list(fixtures)
@@ -186,18 +187,18 @@ def test_criterion_7_pairing_form_equivalence():
 
 
 def test_criterion_8_torus_line_sanity():
-    fixture = reference_fixture("torus_line_curve")
-    rays = branch_rays(fixture.space, fixture.branches)
+    space, branches, _, _ = curve_from_doc(fixture_doc("torus_line_curve"))
+    rays = branch_rays(space, branches)
     assert sorted(rays) == [((-1, -1), 1), ((0, 1), 1), ((1, 0), 1)]
-    fan = assemble(fixture.space, rays, [])
-    assert fixture.space.palette == ()
+    fan = assemble(space, rays, [])
+    assert space.palette == ()
     report = check_balancing(fan)
     assert report.residual == (0, 0) and report.balanced
     _report(8, "line in the 2-torus tropicalizes to (1,0),(0,1),(-1,-1) with weight 1 and balances")
 
 
 def test_criterion_9_star_quotient():
-    fan = reference_fixture("gl2_fig1_fan")
+    fan = fan_from_doc(fixture_doc("gl2_fig1_fan"))
     member = next(m for m in fan.cones if m.cone.generators == ((-1, -1),))
     result = star(fan, member)
     assert result.kernel_basis == ((1, 1),)

@@ -170,13 +170,11 @@ def test_balanced_implies_quotient_balanced():
 
 
 def test_colored_terms_lie_in_projection_kernel():
-    from sphertrop.balance import palette_projection
-    from sphertrop.lattice import mat_vec
-
     for space in (GL2, builtin_space("gln", 3), SL2U):
-        pi = palette_projection(space)
-        for _, v in space.palette:
-            assert all(a == 0 for a in mat_vec(pi, v))
+        for j, (_, v) in enumerate(space.palette):
+            report = check_balancing(WeightedRayFan(space, (), ((j, 3),)))
+            assert report.residual == tuple(3 * a for a in v)
+            assert all(a == 0 for a in report.quotient_residual)
 
 
 # --- colored weight solver --------------------------------------------------------------

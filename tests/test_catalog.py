@@ -6,17 +6,23 @@ from sphertrop import lattice
 from sphertrop.balance import check_balancing
 from sphertrop.catalog import (
     FAMILIES,
-    CurveFixture,
+    FIXTURE_FILES,
     builtin_space,
-    catalog_listing,
-    fixture_names,
-    reference_fixture,
+    fixture_doc,
     sl2u_family,
     space_by_id,
 )
-from sphertrop.documents import dumps, load_text, space_from_doc, space_to_doc
+from sphertrop.documents import (
+    catalog_to_doc,
+    curve_from_doc,
+    dumps,
+    fan_from_doc,
+    load_text,
+    space_from_doc,
+    space_to_doc,
+)
 from sphertrop.luna_vust import validate_colored_fan
-from sphertrop.puiseux import PuiseuxPoly, val
+from sphertrop.puiseux import PuiseuxPoly
 from sphertrop.tropicalize import CurveBranch, OffSpaceError, branch_rays, trop_point
 from sphertrop.balance import assemble
 
@@ -117,7 +123,7 @@ def random_transversal_curve(rng, n, j):
             [PuiseuxPoly.constant(A[r][c]) + t * B[r][c] for c in range(n)]
             for r in range(n)
         ]
-        orders = [val(nested_minor(M, i)) for i in range(1, n + 1)]
+        orders = [nested_minor(M, i).val() for i in range(1, n + 1)]
         if orders[j - 1] == 1 and all(
             orders[i - 1] == 0 for i in range(1, n + 1) if i != j
         ):
@@ -131,7 +137,7 @@ def test_gln_palette_matches_divisor_orders(n):
     for j in range(2, n + 1):
         for _ in range(3):
             M = random_transversal_curve(rng, n, j)
-            h_orders = [val(nested_minor(M, i)) for i in range(1, n + 1)] + [0]
+            h_orders = [nested_minor(M, i).val() for i in range(1, n + 1)] + [0]
             observed = tuple(
                 int(h_orders[i - 1] - h_orders[i]) for i in range(1, n + 1)
             )
@@ -142,45 +148,40 @@ def test_gln_palette_matches_divisor_orders(n):
 
 
 def test_fixture_names():
-    assert set(fixture_names()) == {
-        "gl2_fig1_fan",
-        "gl2_line_curve",
-        "torus_line_curve",
-    }
+    assert FIXTURE_FILES == ("gl2_fig1_fan", "gl2_line_curve", "torus_line_curve")
+    assert list(FIXTURE_FILES) == sorted(FIXTURE_FILES)  # as `catalog list` prints them
     with pytest.raises(KeyError):
-        reference_fixture("nonexistent")
+        fixture_doc("nonexistent")
 
 
 def test_reference_fans_validate():
-    fan = reference_fixture("gl2_fig1_fan")
+    fan = fan_from_doc(fixture_doc("gl2_fig1_fan"))
     assert validate_colored_fan(fan).ok
 
 
 def test_reference_curves_balance():
     for name in ("gl2_line_curve", "torus_line_curve"):
-        fixture = reference_fixture(name)
-        assert isinstance(fixture, CurveFixture)
-        rays = branch_rays(fixture.space, fixture.branches)
-        wf = assemble(fixture.space, rays, fixture.colored_weights)
-        assert wf == fixture.expected
+        space, branches, colored, expected = curve_from_doc(fixture_doc(name))
+        wf = assemble(space, branch_rays(space, branches), colored)
+        assert wf == expected
         assert check_balancing(wf).balanced
-        assert check_balancing(fixture.expected).balanced
+        assert check_balancing(expected).balanced
 
 
 def test_gl2_line_curve_expected_fan():
-    fixture = reference_fixture("gl2_line_curve")
-    assert fixture.expected.rays == (((-1, -1), 1), ((1, 0), 2))
-    assert fixture.expected.colored_weights == ((0, 1),)
+    expected = curve_from_doc(fixture_doc("gl2_line_curve"))[3]
+    assert expected.rays == (((-1, -1), 1), ((1, 0), 2))
+    assert expected.colored_weights == ((0, 1),)
 
 
 def test_torus_line_fixture_rays():
-    fixture = reference_fixture("torus_line_curve")
-    assert fixture.expected.rays == (
+    expected = curve_from_doc(fixture_doc("torus_line_curve"))[3]
+    assert expected.rays == (
         ((-1, -1), 1),
         ((0, 1), 1),
         ((1, 0), 1),
     )
-    assert fixture.expected.colored_weights == ()
+    assert expected.colored_weights == ()
 
 
 def test_sl2u_family_balances_for_all_small_parameters():
@@ -227,18 +228,18 @@ def test_family_contract(name):
         # ones on the diagonal of a gln matrix, t elsewhere: on every space
         arity = family.arity(space.rank)
         coords = tuple(one if i % (space.rank + 1) == 0 else t for i in range(arity))
-        assert len(trop_point(space, CurveBranch(coords)).coords) == space.rank
+        assert len(trop_point(space, CurveBranch(coords))) == space.rank
         with pytest.raises(OffSpaceError):
             trop_point(space, CurveBranch(coords + (one,)))
 
 
 def test_catalog_list_rows_are_the_family_rows_in_order():
-    assert catalog_listing()["spaces"] == [
+    assert catalog_to_doc()["spaces"] == [
         {"id": "torus<n>", "rank": "n", "palette": 0},
         {"id": "sl2u", "rank": 1, "palette": 1},
         {"id": "gln<n>", "rank": "n", "palette": "n-1"},
     ]
-    assert catalog_listing()["spaces"] == [family.row for family in FAMILIES.values()]
+    assert catalog_to_doc()["spaces"] == [family.row for family in FAMILIES.values()]
 
 
 def test_trop_point_on_diagonal_gln_branches():
@@ -253,6 +254,6 @@ def test_trop_point_on_diagonal_gln_branches():
                 [PuiseuxPoly.t_power(exps[i]) if i == j else PuiseuxPoly.zero() for j in range(n)]
                 for i in range(n)
             ]
-            h = [val(nested_minor(M, i)) for i in range(1, n + 1)] + [0]
-            coords = trop_point(space, CurveBranch.from_matrix(M)).coords
+            h = [nested_minor(M, i).val() for i in range(1, n + 1)] + [0]
+            coords = trop_point(space, CurveBranch.from_matrix(M))
             assert coords == tuple(h[i] - h[i + 1] for i in range(n))

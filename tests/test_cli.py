@@ -11,14 +11,14 @@ import time
 import pytest
 
 from sphertrop import catalog, documents
-from sphertrop.catalog import _load_fixture_doc, reference_fixture, sl2u_family, space_by_id
+from sphertrop.catalog import fixture_doc, sl2u_family, space_by_id
 from sphertrop.cli import main
 from sphertrop.fuzz import mutate
 
 
 @pytest.fixture
 def fan_file(tmp_path):
-    fan = reference_fixture("gl2_fig1_fan")
+    fan = documents.fan_from_doc(fixture_doc("gl2_fig1_fan"))
     path = tmp_path / "fan.json"
     path.write_text(documents.dumps(documents.fan_to_doc(fan)))
     return str(path)
@@ -27,7 +27,7 @@ def fan_file(tmp_path):
 @pytest.fixture
 def curve_file(tmp_path):
     path = tmp_path / "curve.json"
-    path.write_text(json.dumps(_load_fixture_doc("gl2_line_curve")))
+    path.write_text(json.dumps(fixture_doc("gl2_line_curve")))
     return str(path)
 
 
@@ -131,7 +131,7 @@ def test_fan_validate_fixture(capsys, fan_file):
 
 
 def test_fan_validate_mutated_fan(capsys, tmp_path):
-    fan = reference_fixture("gl2_fig1_fan")
+    fan = documents.fan_from_doc(fixture_doc("gl2_fig1_fan"))
     mutated, expected = mutate(fan, "drop_face", random.Random(3))
     path = tmp_path / "broken.json"
     path.write_text(documents.dumps(documents.fan_to_doc(mutated)))
@@ -198,7 +198,7 @@ def test_fan_schema_error(capsys, tmp_path):
 
 
 def _fan_doc_with(tmp_path, edit):
-    doc = documents.fan_to_doc(reference_fixture("gl2_fig1_fan"))
+    doc = documents.fan_to_doc(documents.fan_from_doc(fixture_doc("gl2_fig1_fan")))
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -206,7 +206,7 @@ def _fan_doc_with(tmp_path, edit):
 
 
 def _curve_doc_with(tmp_path, edit, fixture="gl2_line_curve"):
-    doc = _load_fixture_doc(fixture)
+    doc = fixture_doc(fixture)
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -471,6 +471,14 @@ INPUT_ERROR_TEXTS = {
         lambda tmp: _fan_doc_with(tmp, lambda doc: doc["cones"][-1].update(colors=[[]])),
         "a 'colors' entry must be a JSON string, got []",
     ),
+    # a result document names its space after the input's, so a repr must not reach it
+    "fan_star_space_name_not_a_string": (
+        lambda tmp: [
+            "fan", "star", _fan_doc_with(tmp, lambda doc: doc["space"].update(name={"x": [1]}))[-1],
+            "--cone-index", "1",
+        ],
+        "'name' must be a JSON string, got {'x': [1]}",
+    ),
     "fan_palette_label_not_a_string": (
         lambda tmp: _fan_doc_with(tmp, lambda doc: doc["space"]["palette"][0].update(label=3)),
         "'label' must be a JSON string, got 3",
@@ -496,7 +504,7 @@ INPUT_ERROR_TEXTS = {
     ),
     "weighted_fan_repeated_colored_weight": (
         lambda tmp: _weighted_fan_file(
-            tmp, json.dumps(dict(_load_fixture_doc("gl2_line_curve")["expected"], colored_weights=REPEATED_E2))
+            tmp, json.dumps(dict(fixture_doc("gl2_line_curve")["expected"], colored_weights=REPEATED_E2))
         ),
         "color 'E2' repeats in 'colored_weights'",
     ),
@@ -655,13 +663,12 @@ def _fuzz_bases():
     """The fan, weighted fan and curve fixtures, and the colored gln2 fan, as
     documents with their space written out."""
     docs = [
-        documents.fan_to_doc(reference_fixture("gl2_fig1_fan")),
+        documents.fan_to_doc(documents.fan_from_doc(fixture_doc("gl2_fig1_fan"))),
         documents.fan_to_doc(documents.fan_from_doc(COLORED_GLN2_FAN)),
         documents.weighted_fan_to_doc(sl2u_family(3, 1)),
     ]
     for name in ("gl2_line_curve", "torus_line_curve"):
-        f = reference_fixture(name)
-        docs.append(documents.curve_to_doc(f.space, f.branches, f.colored_weights, f.expected))
+        docs.append(documents.curve_to_doc(*documents.curve_from_doc(fixture_doc(name))))
     return docs
 
 
@@ -827,7 +834,7 @@ def test_catalog_list(capsys):
 
 
 def test_plot_deterministic(tmp_path, capsys):
-    wf = reference_fixture("gl2_line_curve").expected
+    wf = documents.curve_from_doc(fixture_doc("gl2_line_curve"))[3]
     src = tmp_path / "wf.json"
     src.write_text(documents.dumps(documents.weighted_fan_to_doc(wf)))
     out1 = tmp_path / "a.svg"
@@ -910,7 +917,7 @@ def test_plot_curve_draws_its_branches(tmp_path):
     """A curve is drawn from the rays its branches tropicalize to, so a
     curve without ``expected`` plots, and one whose ``expected`` disagrees
     with its branches draws the derived rays."""
-    doc = _load_fixture_doc("gl2_line_curve")
+    doc = fixture_doc("gl2_line_curve")
     rays = doc["expected"]["rays"]  # equal to the derived rays on this fixture
     derived = _plot(tmp_path, _weighted_fan_doc_of(doc, rays, doc["colored_weights"]))
     del doc["expected"]
@@ -970,7 +977,7 @@ def test_every_listed_fixture_loads(capsys):
     _, out, _ = run(capsys, "catalog", "list")
     names = json.loads(out)["fixtures"]
     for name in names:
-        command = FIXTURE_COMMANDS[catalog._load_fixture_doc(name)["format"]]
+        command = FIXTURE_COMMANDS[catalog.fixture_doc(name)["format"]]
         code, out, err = run(capsys, *command, "--fixture", name)
         assert (code, err) == (0, ""), name
         assert json.loads(out)["format"] in ("validation-report/1", "balance-report/1")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphertrop.balance import WeightedRayFan, check_balancing
-from sphertrop.catalog import FAMILIES, builtin_space, reference_fixture, space_by_id
+from sphertrop.catalog import FAMILIES, builtin_space, fixture_doc, space_by_id
 from sphertrop.documents import (
     DocumentError,
     balance_report_to_doc,
@@ -208,7 +208,7 @@ def test_space_doc_family_size_is_derived_on_read():
 
 
 def test_fan_document_roundtrip_is_identity_on_canonical_forms():
-    fan = reference_fixture("gl2_fig1_fan")
+    fan = fan_from_doc(fixture_doc("gl2_fig1_fan"))
     doc = fan_to_doc(fan)
     again = fan_to_doc(fan_from_doc(doc))
     assert doc == again
@@ -219,7 +219,7 @@ def test_fan_document_roundtrip_is_identity_on_canonical_forms():
 
 
 def test_weighted_fan_roundtrip():
-    wf = reference_fixture("gl2_line_curve").expected
+    wf = curve_from_doc(fixture_doc("gl2_line_curve"))[3]
     doc = weighted_fan_to_doc(wf)
     back = weighted_fan_from_doc(doc)
     assert back == wf
@@ -227,26 +227,20 @@ def test_weighted_fan_roundtrip():
 
 
 def test_curve_roundtrip():
-    fixture = reference_fixture("gl2_line_curve")
-    doc = curve_to_doc(
-        fixture.space, fixture.branches, fixture.colored_weights, fixture.expected
-    )
+    fixture = curve_from_doc(fixture_doc("gl2_line_curve"))
+    doc = curve_to_doc(*fixture)
     space, branches, colored, expected = curve_from_doc(doc)
-    assert branches == fixture.branches
-    assert colored == fixture.colored_weights
-    assert expected == fixture.expected
+    assert (space, branches, colored, expected) == fixture
     assert curve_to_doc(space, branches, colored, expected) == doc
 
 
 def test_fixture_files_print_stably():
     # print(parse(print(x))) == print(x) for every fixture document on disk
-    from sphertrop.catalog import _load_fixture_doc
-
-    fan_doc = _load_fixture_doc("gl2_fig1_fan")
+    fan_doc = fixture_doc("gl2_fig1_fan")
     assert dumps(fan_to_doc(fan_from_doc(fan_doc))) == dumps(
         fan_to_doc(fan_from_doc(fan_to_doc(fan_from_doc(fan_doc))))
     )
-    curve_doc = _load_fixture_doc("gl2_line_curve")
+    curve_doc = fixture_doc("gl2_line_curve")
     space, branches, colored, expected = curve_from_doc(curve_doc)
     printed = curve_to_doc(space, branches, colored, expected)
     reparsed = curve_from_doc(json.loads(dumps(printed)))
@@ -254,7 +248,7 @@ def test_fixture_files_print_stably():
 
 
 def test_balance_report_doc():
-    wf = reference_fixture("gl2_line_curve").expected
+    wf = curve_from_doc(fixture_doc("gl2_line_curve"))[3]
     doc = balance_report_to_doc(check_balancing(wf))
     assert doc["balanced"] is True
     assert doc["residual"] == ["0", "0"]

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from sphertrop import lattice, luna_vust
-from sphertrop.catalog import builtin_space, reference_fixture
+from sphertrop.catalog import builtin_space, fixture_doc
+from sphertrop.documents import fan_from_doc
 from sphertrop.fuzz import MUTATION_KINDS, mutations
 from sphertrop.lattice import Cone, signed_basis, vec_scale
 from sphertrop.luna_vust import (
@@ -27,7 +28,7 @@ E = 0  # palette index of the single gl2 color, vector (-1, 1)
 
 
 def fig1_fan():
-    return reference_fixture("gl2_fig1_fan")
+    return fan_from_doc(fixture_doc("gl2_fig1_fan"))
 
 
 def cc(gens, colors=()):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sphertrop.catalog import builtin_space
-from sphertrop.puiseux import PuiseuxPoly, determinant, val
+from sphertrop.puiseux import PuiseuxPoly, determinant
 from sphertrop.tropicalize import (
     CurveBranch,
     NonIntegerRayError,
@@ -104,7 +104,7 @@ def test_invariant_factor_structure():
         M = random_nonsingular_matrix(rng, n)
         mu = invariant_factor_valuations(M)
         assert all(a >= b for a, b in zip(mu, mu[1:]))
-        assert sum(mu) == val(determinant(M))
+        assert sum(mu) == determinant(M).val()
 
 
 def test_elimination_oracle_agrees():
@@ -148,14 +148,14 @@ def test_trop_point_dispatch():
     gl2 = builtin_space("gln", 2)
     branch = CurveBranch.from_matrix([[t + one, t], [t, zero]])
     point = trop_point(gl2, branch)
-    assert point.coords == (2, 0)
-    assert gl2.valuation_cone.contains(point.coords)
+    assert point == (2, 0)
+    assert gl2.valuation_cone.contains(point)
 
     torus2 = builtin_space("torus", 2)
-    assert trop_point(torus2, CurveBranch((t, t))).coords == (1, 1)
+    assert trop_point(torus2, CurveBranch((t, t))) == (1, 1)
 
     sl2u = builtin_space("sl2_u")
-    assert trop_point(sl2u, CurveBranch((t**2, t**2))).coords == (2,)
+    assert trop_point(sl2u, CurveBranch((t**2, t**2))) == (2,)
 
 
 def test_trop_point_lands_in_valuation_cone():
@@ -164,7 +164,7 @@ def test_trop_point_lands_in_valuation_cone():
     for _ in range(20):
         M = random_nonsingular_matrix(rng, 3)
         point = trop_point(gl3, CurveBranch.from_matrix(M))
-        assert gl3.valuation_cone.contains(point.coords)
+        assert gl3.valuation_cone.contains(point)
 
 
 def test_trop_point_errors():
