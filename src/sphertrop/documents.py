@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import catalog
 from .balance import WeightedRayFan
@@ -392,8 +393,46 @@ def star_to_doc(result):
 
 
 def dumps(doc):
-    """Serialize a document deterministically."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Serialize a document deterministically: the text of
+    ``json.dumps(doc, indent=2, sort_keys=True)`` and a final newline.
+
+    A document holds only dicts with string keys, lists, strings, ints,
+    booleans and None; anything else (a float, a tuple, a Fraction, a
+    non-string key) raises TypeError.  Written here because ``json.dumps``
+    with an indent runs the pure-Python encoder.
+    """
+    return _text(doc, "\n") + "\n"
+
+
+def _text(value, newline):
+    """The JSON text of one document value, its lines after the first
+    starting with ``newline``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_text(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):  # keys of mixed types raise TypeError here
+            if not isinstance(key, str):
+                raise TypeError("document keys must be strings, got %r" % (key,))
+            items.append(encode_basestring_ascii(key) + ": " + _text(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("a document holds no %s value: %r" % (type(value).__name__, value))
 
 
 def load_text(text):

@@ -6,8 +6,9 @@ an int multiple of ``1/den`` and each coefficient an int numerator over one
 common denominator, so sums, products and the exact quotients of the
 fraction-free elimination below run on Python ints.  Infinite series are out
 of scope: callers enter truncations and guarantee that the truncation order
-exceeds every valuation in play.  The valuation of the zero polynomial is
-``math.inf``, the only non-Fraction value that ever appears.
+exceeds every valuation in play.  A valuation is an int on an integral
+exponent grid and a ``Fraction`` otherwise; that of the zero polynomial is
+``math.inf``.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ class PuiseuxPoly:
         return not self._ints
 
     def val(self):
-        """Least exponent with nonzero coefficient; INF for zero."""
-        return Fraction(self._ints[0][0], self._den) if self._ints else INF
+        """Least exponent with nonzero coefficient, an int when ``_den`` is 1; INF for zero."""
+        if not self._ints:
+            return INF
+        k = self._ints[0][0]
+        return k if self._den == 1 else Fraction(k, self._den)
 
     def __bool__(self):
         return bool(self._ints)
@@ -251,6 +255,9 @@ _WHOLE_RE = re.compile(r"(?:[+-]\s*)?%s(?:\s*[+-]\s*%s)*" % (_TERM, _TERM))
 _TERM_RE = re.compile(
     r"\s*(?:([+-])\s*)?(?=[\dt])(?:(\d+)(?:/(\d+))?)?(?:\s*\*\s*)?(t?)(?:\^\(?([+-]?\d+)(?:/(\d+))?\)?)?"
 )
+# On text _WHOLE_RE accepts with its whitespace removed and no "/", one match
+# per term: sign, coefficient, ``t`` and exponent.
+_INT_TERM_RE = re.compile(r"([+-]?)(?=[\dt])(\d*)\*?(t?)(?:\^\(?([+-]?\d+)\)?)?")
 _ZERO_DENOMINATOR_RE = re.compile(r"/0+(?!\d)")
 
 
@@ -263,7 +270,9 @@ def parse_puiseux(text):
     the one in ``docs/formats.md``: one regular-expression match checks the
     whole text and one ``findall`` reads its terms, both linear in the
     length of the text.  Only rejected text is searched again, for the
-    error message.
+    error message.  Accepted text has whitespace only next to a sign or a
+    ``*``, so text without a ``/`` is read with its whitespace removed,
+    straight into int exponents and coefficients.
     """
     if not isinstance(text, str):
         raise PuiseuxParseError("expected a string, got %r" % (text,))
@@ -276,8 +285,15 @@ def parse_puiseux(text):
         if stripped.count("(") > stripped.count(")"):
             raise PuiseuxParseError("unbalanced '(' in %r" % stripped)
         raise PuiseuxParseError("malformed Puiseux polynomial %r" % stripped)
-    terms = []
     try:
+        if "/" not in stripped:
+            acc = {}
+            for sign, c, t, q in _INT_TERM_RE.findall("".join(stripped.split())):
+                k = int(q) if q else 1 if t else 0
+                m = int(c) if c else 1
+                acc[k] = acc.get(k, 0) + (-m if sign == "-" else m)
+            return _canonical(1, 1, acc)
+        terms = []
         for sign, c_num, c_den, t, q_num, q_den in _TERM_RE.findall(stripped):
             c = int(c_num or 1)
             q = int(q_num) if q_num else 1 if t else 0

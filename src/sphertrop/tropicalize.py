@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import catalog
 from .lattice import primitive
@@ -93,7 +92,7 @@ def invariant_factor_valuations(M):
     if ds[-1] == INF:
         raise OffSpaceError("matrix is singular: point is off the general linear group")
     increasing = []
-    prev = Fraction(0)
+    prev = 0
     for d in ds:
         increasing.append(d - prev)
         prev = d
@@ -102,7 +101,8 @@ def invariant_factor_valuations(M):
 
 def trop_point(space, branch):
     """Tropicalize a branch in the given catalog space: the tuple of exact
-    rational coordinates of its point in the valuation cone.
+    rational coordinates of its point in the valuation cone: ints where the
+    valuations behind them lie on integral exponent grids, else Fractions.
 
     Applies the map of the space's catalog family and checks that the
     result lies in the valuation cone.  A branch with the wrong number of

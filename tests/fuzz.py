@@ -1,4 +1,4 @@
-"""Built-in fan mutator: produces invalid variants with a known broken axiom.
+"""Fan mutator for the tests: produces invalid variants with a known broken axiom.
 
 Each mutation class targets one validation axiom, so the validator can be
 exercised against labeled counterexamples: dropping a face breaks CF1,
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .lattice import Cone, relint_common_point, vec_scale
-from .luna_vust import ColoredCone, ColoredFan, colored_faces
+from sphertrop.lattice import Cone, relint_common_point, vec_scale
+from sphertrop.luna_vust import ColoredCone, ColoredFan, colored_faces
 
 MUTATION_KINDS = (
     "drop_face",

@@ -1,6 +1,7 @@
 """Shared random generators (all seeded by callers) and reference implementations for the test suite."""
 
 import itertools
+import json
 import re
 from fractions import Fraction
 
@@ -216,6 +217,15 @@ def reference_integer_from_str(text):
     if value.denominator != 1:
         raise DocumentError("expected an integer, got %r" % (text,))
     return int(value)
+
+
+# --- the reference document writer ------------------------------------------
+
+
+def reference_dumps(doc):
+    """The document writer before it was written out: ``documents.dumps``
+    gives the same text on every document."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def random_matrix(rng, n, allow_zero=True):

@@ -17,11 +17,11 @@ from sphertrop.balance import (
 )
 from sphertrop.catalog import builtin_space, fixture_doc, sl2u_family
 from sphertrop.documents import curve_from_doc, fan_from_doc
-from sphertrop.fuzz import mutations
 from sphertrop.luna_vust import star, validate_colored_fan
 from sphertrop.puiseux import PuiseuxPoly, determinant
 from sphertrop.tropicalize import branch_rays, invariant_factor_valuations
 
+from fuzz import mutations
 from helpers import (
     cartan_valuations_by_elimination,
     random_balanced_fan,

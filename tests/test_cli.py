@@ -13,7 +13,8 @@ import pytest
 from sphertrop import catalog, documents
 from sphertrop.catalog import fixture_doc, sl2u_family, space_by_id
 from sphertrop.cli import main
-from sphertrop.fuzz import mutate
+
+from fuzz import mutate
 
 
 @pytest.fixture
@@ -83,6 +84,13 @@ def test_trop_torus_vector(capsys):
     code, out, _ = run(capsys, "trop", "torus2", "[t^2, t^-1]")
     assert code == 0
     assert json.loads(out)["coords"] == ["2", "-1"]
+
+
+def test_trop_torus_fractional_point_text(capsys):
+    # a Fraction and an int coordinate are written in one number grammar
+    code, out, err = run(capsys, "trop", "torus2", "(t^(1/2), t)")
+    assert (code, err) == (0, "")
+    assert out == '{\n  "coords": [\n    "1/2",\n    "1"\n  ],\n  "format": "tropical-point/1",\n  "space": "torus2"\n}\n'
 
 
 @pytest.mark.parametrize(

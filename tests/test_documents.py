@@ -32,7 +32,7 @@ from sphertrop.luna_vust import ColoredCone, ColoredFan, SphericalSpace, validat
 from sphertrop.puiseux import PuiseuxPoly
 from sphertrop.tropicalize import CurveBranch
 
-from helpers import reference_integer_from_str, reference_rational_from_str
+from helpers import reference_dumps, reference_integer_from_str, reference_rational_from_str
 
 
 def test_rational_codec():
@@ -245,6 +245,43 @@ def test_fixture_files_print_stably():
     printed = curve_to_doc(space, branches, colored, expected)
     reparsed = curve_from_doc(json.loads(dumps(printed)))
     assert curve_to_doc(*reparsed[:3], reparsed[3]) == printed
+
+
+# strings with what the ASCII escapes must handle: quotes, backslashes,
+# control characters, non-ASCII text, astral characters and lone surrogates
+DOC_STRINGS = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\xe9\u2028\ud800\udfff\U0001f600'),
+        st.characters(blacklist_categories=()),
+    ),
+    max_size=8,
+)
+DOC_VALUES = st.recursive(
+    st.one_of(
+        DOC_STRINGS,
+        st.integers(),
+        st.integers(-(1 << 5000), 1 << 5000),
+        st.booleans(),
+        st.none(),
+    ),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(DOC_STRINGS, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOC_VALUES)
+def test_writer_text_is_the_reference_text(doc):
+    assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, 0.0, (1, 2), {"a": [(1,)]}, {1: "x"}, {"a": "x", 2: "y"}, {"v": [Fraction(1, 2)]}],
+)
+def test_writer_rejects_non_document_values(value):
+    with pytest.raises(TypeError):
+        dumps(value)
 
 
 def test_balance_report_doc():

@@ -7,7 +7,6 @@ import pytest
 from sphertrop import lattice, luna_vust
 from sphertrop.catalog import builtin_space, fixture_doc
 from sphertrop.documents import fan_from_doc
-from sphertrop.fuzz import MUTATION_KINDS, mutations
 from sphertrop.lattice import Cone, signed_basis, vec_scale
 from sphertrop.luna_vust import (
     ColoredCone,
@@ -21,6 +20,7 @@ from sphertrop.luna_vust import (
     validate_colored_fan,
 )
 
+from fuzz import MUTATION_KINDS, mutations
 from helpers import cc1_by_construction, random_cone
 
 GL2 = builtin_space("gln", 2)

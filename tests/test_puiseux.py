@@ -47,6 +47,15 @@ def test_val_examples():
     assert (PuiseuxPoly.t_power(-1) + one).val() == -1
 
 
+def test_val_is_an_int_exactly_on_an_integral_grid():
+    rng = random.Random(16)
+    for _ in range(300):
+        p = random_poly(rng) * PuiseuxPoly.t_power(Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+        assert type(p.val()) is (int if p._den == 1 else Fraction)
+    # on a finer grid an integral least exponent is still the Fraction 1
+    assert type((t + PuiseuxPoly.t_power(Fraction(3, 2))).val()) is Fraction
+
+
 def test_val_of_sum_and_product():
     rng = random.Random(11)
     for _ in range(200):
@@ -381,12 +390,23 @@ CASES = [
     ("2*t^(-7/3) + 1/2", [(Fraction(-7, 3), 2), (0, Fraction(1, 2))]),
     ("1 - t", [(0, 1), (1, -1)]),
     ("-3/4", [(0, Fraction(-3, 4))]),
+    # text without a "/" is read on ints, text with one through Fractions
+    ("t - t", []),
+    ("t^-1 + 2*t^(-1)", [(-1, 3)]),
+    ("2*t^(+3)", [(3, 2)]),
+    ("3*t^(1/2) - 1", [(Fraction(1, 2), 3), (0, -1)]),
+    pytest.param("1" * 5000 + "*t", PuiseuxParseError, id="digit-limit-int"),
+    pytest.param("t^(1/" + "1" * 5000 + ")", PuiseuxParseError, id="digit-limit-ratio"),
 ]
 
 
 @pytest.mark.parametrize("text,terms", CASES)
 def test_parse_examples(text, terms):
-    assert parse_puiseux(text) == PuiseuxPoly(terms)
+    if terms is PuiseuxParseError:
+        with pytest.raises(PuiseuxParseError, match="number has more than"):
+            parse_puiseux(text)
+    else:
+        assert parse_puiseux(text) == PuiseuxPoly(terms)
 
 
 def test_print_parse_roundtrip_random():

@@ -167,6 +167,34 @@ def test_trop_point_lands_in_valuation_cone():
         assert gl3.valuation_cone.contains(point)
 
 
+def _integral_unit_matrix(rng, n):
+    # the identity plus t-multiples: a unit over the valuation ring, on the integral grid
+    return [
+        [(one if i == j else zero) + PuiseuxPoly.t_power(rng.randint(1, 2), rng.randint(-3, 3)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_trop_point_is_an_int_tuple_on_integral_branches():
+    rng = random.Random(27)
+    for n in (2, 3, 4):
+        gln = builtin_space("gln", n)
+        torus = builtin_space("torus", n)
+        for _ in range(10):
+            a = [rng.randint(-3, 3) for _ in range(n)]
+            diag = [[PuiseuxPoly.t_power(a[i]) if i == j else zero for j in range(n)] for i in range(n)]
+            M = mat_mul(mat_mul(_integral_unit_matrix(rng, n), diag), _integral_unit_matrix(rng, n))
+            point = trop_point(gln, CurveBranch.from_matrix(M))
+            assert point == tuple(sorted(a, reverse=True))
+            assert all(type(c) is int for c in point)
+            coords = [PuiseuxPoly.t_power(e, rng.choice((-2, 1, 3))) + PuiseuxPoly.t_power(e + 1) for e in a]
+            point = trop_point(torus, CurveBranch(coords))
+            assert point == tuple(a) and all(type(c) is int for c in point)
+    # a coordinate on a finer grid stays a Fraction
+    point = trop_point(builtin_space("torus", 2), CurveBranch((PuiseuxPoly.t_power(Fraction(1, 2)), t)))
+    assert point == (Fraction(1, 2), 1) and [type(c) for c in point] == [Fraction, int]
+
+
 def test_trop_point_errors():
     gl2 = builtin_space("gln", 2)
     with pytest.raises(OffSpaceError):
