@@ -18,20 +18,22 @@ build none.
 :func:`dual_description` only projects.  Redundant normals and redundant
 generators are both dropped by the same implication test, :func:`_implied`.
 
-The five pure exact computations are memoised in bounded LRU caches of
+The seven pure exact computations are memoised in bounded LRU caches of
 ``MEMO_SIZE`` entries each, keyed on immutable primitive-integer data:
 pruning (:func:`_irredundant`) on the sorted distinct vectors and the
 dimension; :func:`dual_description` on the primitive directions in input
-order and the dimension; :meth:`Cone.faces` on the cone's generators and
-the dimension, so each face lattice is built once and its faces keep the
-normals they compute; :func:`relint_meets` on the first cone's generators
-and the second cone's normals; :func:`relint_common_point` on both cones'
-generators, the region's normals and the dimension; inside it, a
-separating normal of either cone, read through the
-:func:`dual_description` memo, decides a disjoint pair before any
-elimination.  The memos sit in private helpers below the public names, so
-every public call still happens, and each stores tuples, so no caller can
-alter a cached answer.
+order and the dimension; a cone's pointedness and rank
+(:meth:`Cone.is_pointed`, :meth:`Cone.dim`) on its generators and the
+dimension; :meth:`Cone.faces` on the cone's generators and the dimension,
+so each face lattice is built once and its faces keep the normals they
+compute; :meth:`Cone.intersect` on both cones' normals and the dimension;
+:func:`relint_meets` on the first cone's generators and the second cone's
+normals; :func:`relint_common_point` on both cones' generators, the
+region's normals and the dimension; inside it, a separating normal of
+either cone, read through the :func:`dual_description` memo, decides a
+disjoint pair before any elimination.  The memos sit in private helpers
+below the public names, so every public call still happens, and each
+stores tuples or immutable cones, so no caller can alter a cached answer.
 """
 
 from __future__ import annotations
@@ -490,17 +492,18 @@ class Cone:
     description as the generators, which are then not pruned again; else it
     is computed lazily, once per instance, by
     :func:`dual_description` (itself memoised).  The zero cone has an empty
-    generator list.  Instances are immutable; equality is set equality:
-    equal generator tuples, else mutual containment.  The stored generators
-    are sorted, irredundant and primitive, so for a pointed cone they are
-    exactly its primitive extreme rays, and the hash of a pointed cone is
-    the hash of its generator tuple; every cone that contains a line hashes
-    to one value per ambient dimension.  The hash is computed on the first
-    ``hash()`` and kept on the instance.  Sets and dicts of cones thus
-    compare by containment only on a hash match.
+    generator list.  Instances are immutable; equality is set equality.
+    The stored generators are sorted, irredundant and primitive, so for a
+    pointed cone they are exactly its primitive extreme rays: equal
+    generator tuples are equal cones, differing tuples with a pointed side
+    are unequal, and only two cones that both contain a line are compared
+    by mutual containment.  The hash of a pointed cone is the hash of its
+    generator tuple; every cone that contains a line hashes to one value
+    per ambient dimension.  The hash, and the pointedness and rank read
+    from their memo, are kept on the instance once computed.
     """
 
-    __slots__ = ("ambient_dim", "generators", "_normals", "_hash")
+    __slots__ = ("ambient_dim", "generators", "_normals", "_hash", "_shape")
 
     def __init__(self, generators, ambient_dim=None, _normals=None):
         gens = list(generators)
@@ -514,6 +517,7 @@ class Cone:
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_normals", _normals)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_shape", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
@@ -542,19 +546,22 @@ class Cone:
     def is_zero(self):
         return not self.generators
 
+    def _read_shape(self):
+        if self._shape is None:
+            object.__setattr__(self, "_shape", _pointed_rank(self.generators, self.ambient_dim))
+        return self._shape
+
     def dim(self):
-        return matrix_rank(self.generators)
+        return self._read_shape()[1]
 
     def is_pointed(self):
         """True iff the cone contains no line.
 
-        The lineality space is the minimal face, and a face is generated by
-        the generators it contains, so the cone contains a line exactly
-        when some generator is tight on every normal.
+        The lineality space ``{x : N x = 0}`` is the same for every
+        inequality description ``N``, so the answer depends on the
+        generators alone and is memoised on them and the dimension.
         """
-        return not any(
-            all(dot(n, g) == 0 for n in self.inequalities) for g in self.generators
-        )
+        return self._read_shape()[0]
 
     def contains(self, x):
         if len(x) != self.ambient_dim:
@@ -567,11 +574,10 @@ class Cone:
         return all(self.contains(g) for g in other.generators)
 
     def intersect(self, other):
+        """The cone cut out by both cones' normals, memoised on them and the dimension."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Cone.from_inequalities(
-            list(self.inequalities) + list(other.inequalities), self.ambient_dim
-        )
+        return _intersect(self.inequalities, other.inequalities, self.ambient_dim)
 
     def faces(self):
         """All faces, including the cone itself and its minimal face.
@@ -597,6 +603,8 @@ class Cone:
             return False
         if self.generators == other.generators:
             return True
+        if self.is_pointed() or other.is_pointed():
+            return False
         return self.contains_cone(other) and other.contains_cone(self)
 
     def __hash__(self):
@@ -607,6 +615,23 @@ class Cone:
 
     def __repr__(self):
         return "Cone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _pointed_rank(gens, dim):
+    """``(pointed, rank)`` of the cone the primitive, irredundant ``gens`` span.
+
+    The lineality space is the minimal face, and a face is generated by the
+    generators it contains, so the cone contains a line exactly when some
+    generator is tight on every normal.
+    """
+    normals = _dual(gens, dim)
+    return not any(all(dot(n, g) == 0 for n in normals) for g in gens), matrix_rank(gens)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _intersect(normals_a, normals_b, dim):
+    return Cone.from_inequalities(normals_a + normals_b, dim)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -10,8 +10,10 @@ demonstrated as first-class results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .lattice import (
+    MEMO_SIZE,
     Cone,
     is_zero_vector,
     mat_vec,
@@ -216,11 +218,19 @@ def colored_faces(space, cc):
 
 
 def _colored_faces(space, cc):
-    out = []
-    for face in cc.cone.faces():
-        colors = frozenset(j for j in cc.colors if face.contains(space.palette_vector(j)))
-        out.append(ColoredCone(face, colors))
-    return out
+    """The colored faces of ``cc``, memoised on its cone's generators and
+    dimension and the sorted (index, vector) pairs of its colors; each call
+    returns a fresh list."""
+    colors = tuple(sorted((j, space.palette_vector(j)) for j in cc.colors))
+    return list(_colored_face_tuple(cc.cone.generators, cc.cone.ambient_dim, colors))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _colored_face_tuple(gens, dim, colors):
+    return tuple(
+        ColoredCone(face, frozenset(j for j, v in colors if face.contains(v)))
+        for face in Cone(gens, dim).faces()
+    )
 
 
 def validate_colored_fan(fan):

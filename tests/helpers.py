@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from sphertrop.documents import DocumentError
 from sphertrop.lattice import Cone, dot, primitive, is_zero_vector
+from sphertrop.luna_vust import ColoredCone
 from sphertrop.puiseux import INF, PuiseuxParseError, PuiseuxPoly, _from_ratios, determinant, divexact
 from sphertrop.tropicalize import OffSpaceError
 
@@ -296,6 +297,15 @@ def cc1_by_construction(space, cc):
         [v for v in colors if not is_zero_vector(v)] + list(intersection.generators), space.rank
     )
     return regenerated == sigma
+
+
+def reference_colored_faces(space, cc):
+    """The colored faces face by face: each face ``Cone.faces`` lists, with
+    the selected colors whose vectors it contains."""
+    return [
+        ColoredCone(face, frozenset(j for j in cc.colors if face.contains(space.palette_vector(j))))
+        for face in cc.cone.faces()
+    ]
 
 
 def subset_face_generators(cone):

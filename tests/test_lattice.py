@@ -620,9 +620,19 @@ def test_equality_of_cones_with_lines():
     assert quadrant != plane and plane != quadrant
 
 
+def _random_cone_by_normals(rng, dim):
+    """A cone cut out by random normals; a normal next to its negative makes
+    it lower-dimensional."""
+    normals = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, dim + 1))]
+    if normals and rng.random() < 0.5:
+        normals.append(tuple(-a for a in rng.choice(normals)))
+    return Cone.from_inequalities(normals, dim)
+
+
 def test_equality_and_pointedness_match_containment_and_rank():
     rng = random.Random(31)
-    equal_with_lines = 0
+    by_normals = random.Random(32)
+    equal_with_lines = lower = other_normals = 0
     for _ in range(300):
         dim = rng.randint(1, 3)
         a = _random_cone_with_lines(rng, dim)
@@ -632,15 +642,24 @@ def test_equality_and_pointedness_match_containment_and_rank():
             b = Cone(list(a.generators) + extra, dim)
         else:
             b = _random_cone_with_lines(rng, dim)
-        for c in (a, b):
-            assert c.is_pointed() == (matrix_rank(c.inequalities) == dim)
-        mutual = a.contains_cone(b) and b.contains_cone(a)
-        assert (a == b) == mutual and (b == a) == mutual
-        assert not mutual or hash(a) == hash(b)
-        assert (b in {a}) == mutual
-        if mutual and a.generators != b.generators:
-            equal_with_lines += 1
-    assert equal_with_lines > 0
+        # a cone built from normals, and the same generators built from
+        # generators: pointedness and rank are read from one memo keyed on
+        # the generators, while the two instances keep their own normals
+        c = _random_cone_by_normals(by_normals, dim)
+        d = Cone(c.generators, dim)
+        lower += c.dim() < dim
+        other_normals += c.inequalities != d.inequalities
+        for x, y in ((a, b), (a, c), (d, c)):
+            for z in (x, y):
+                assert z.is_pointed() == (matrix_rank(z.inequalities) == dim)
+                assert z.dim() == matrix_rank(z.generators)
+            mutual = x.contains_cone(y) and y.contains_cone(x)
+            assert (x == y) == mutual and (y == x) == mutual
+            assert not mutual or hash(x) == hash(y)
+            assert (y in {x}) == mutual
+            if mutual and x.generators != y.generators:
+                equal_with_lines += 1
+    assert equal_with_lines > 0 and lower > 0 and other_normals > 0
 
 
 def test_hash_is_computed_once_per_cone(monkeypatch):

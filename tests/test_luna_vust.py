@@ -21,7 +21,7 @@ from sphertrop.luna_vust import (
 )
 
 from fuzz import MUTATION_KINDS, mutations
-from helpers import cc1_by_construction, random_cone
+from helpers import cc1_by_construction, random_cone, reference_colored_faces
 
 GL2 = builtin_space("gln", 2)
 E = 0  # palette index of the single gl2 color, vector (-1, 1)
@@ -162,6 +162,44 @@ def test_colored_faces_of_catalog_members_are_valid():
     for member in fan.cones:
         for face in colored_faces(fan.space, member):
             assert validate_colored_cone(fan.space, face).ok
+
+
+def _face_table(faces):
+    return [(f.cone.generators, f.colors) for f in faces]
+
+
+def test_colored_faces_match_the_face_by_face_reference():
+    rng = random.Random(27)
+    cases = []
+    for space in (GL2, builtin_space("gln", 3)):
+        for _ in range(60):
+            colors = frozenset(j for j in range(len(space.palette)) if rng.random() < 0.5)
+            gens = list(random_cone(rng, space.rank).generators)
+            if rng.random() < 0.5:  # colors on rays of the cone
+                gens += [space.palette_vector(j) for j in colors]
+            cases.append((space, ColoredCone(Cone(gens, space.rank), colors)))
+    # members of mutated fans, each read under the fixture's palette first:
+    # one mutation zeroes a palette vector and keeps its index
+    fan = fig1_fan()
+    for _, mutated, _ in mutations(fan, random.Random(28), 30):
+        cases += [(space, member) for member in mutated.cones for space in (fan.space, mutated.space)]
+    colored = 0
+    for space, member in cases:
+        expected = _face_table(reference_colored_faces(space, member))
+        assert _face_table(luna_vust._colored_faces(space, member)) == expected
+        assert _face_table(luna_vust._colored_faces(space, member)) == expected
+        colored += any(colors for _, colors in expected)
+    assert colored > 20
+
+
+def test_colored_faces_returns_a_fresh_list():
+    member = cc([(-1, 1), (1, 0)], {E})
+    first = luna_vust._colored_faces(GL2, member)
+    expected = list(first)
+    first.pop()
+    first.append(cc([(5, 1)]))
+    assert luna_vust._colored_faces(GL2, member) == expected
+    assert colored_faces(GL2, member) == expected
 
 
 # --- fan validation --------------------------------------------------------------
@@ -389,6 +427,30 @@ def test_orthant_fan_pairs_need_no_elimination(monkeypatch):
     monkeypatch.setattr(lattice, "feasible_point", counted("feasible", lattice.feasible_point))
     assert validate_colored_fan(ColoredFan(builtin_space("torus", 4), tuple(members))).ok
     assert calls == {"pairs": 3240, "feasible": 0}
+
+
+def test_a_repeated_fan_document_decides_no_cone_fact_again(monkeypatch):
+    """Validating, starring and decoloring a second, freshly parsed copy of
+    one fan/1 document reads pointedness, rank, colored faces and clipped
+    members from their memos: no memo body runs and no rank is computed."""
+    memos = (lattice._pointed_rank, lattice._intersect, luna_vust._colored_face_tuple)
+
+    def run():
+        fan = fig1_fan()
+        assert validate_colored_fan(fan).ok
+        star(fan, member_with_gens(fan, ((-1, -1),)))
+        decolor(fan)
+
+    run()
+    before = [memo.cache_info() for memo in memos]
+    ranks = []
+    rank = lattice.matrix_rank
+    monkeypatch.setattr(lattice, "matrix_rank", lambda rows: ranks.append(rows) or rank(rows))
+    run()
+    after = [memo.cache_info() for memo in memos]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert all(a.hits > b.hits for a, b in zip(after, before))
+    assert ranks == []
 
 
 # --- fuzzer ---------------------------------------------------------------------------
