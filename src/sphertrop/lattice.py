@@ -18,22 +18,21 @@ build none.
 :func:`dual_description` only projects.  Redundant normals and redundant
 generators are both dropped by the same implication test, :func:`_implied`.
 
-The seven pure exact computations are memoised in bounded LRU caches of
-``MEMO_SIZE`` entries each, keyed on immutable primitive-integer data:
-pruning (:func:`_irredundant`) on the sorted distinct vectors and the
-dimension; :func:`dual_description` on the primitive directions in input
-order and the dimension; a cone's pointedness and rank
-(:meth:`Cone.is_pointed`, :meth:`Cone.dim`) on its generators and the
-dimension; :meth:`Cone.faces` on the cone's generators and the dimension,
-so each face lattice is built once and its faces keep the normals they
-compute; :meth:`Cone.intersect` on both cones' normals and the dimension;
-:func:`relint_meets` on the first cone's generators and the second cone's
-normals; :func:`relint_common_point` on both cones' generators, the
-region's normals and the dimension; inside it, a separating normal of
-either cone, read through the :func:`dual_description` memo, decides a
-disjoint pair before any elimination.  The memos sit in private helpers
-below the public names, so every public call still happens, and each
-stores tuples or immutable cones, so no caller can alter a cached answer.
+The eight pure exact computations are memoised in bounded LRU caches of
+``MEMO_SIZE`` entries each, keyed on immutable data: a new cone's stored
+generators, and :func:`dual_description`, on the vectors as given (tuples
+that compare equal have equal directions) and the dimension; pruning
+(:func:`_irredundant`) on the sorted distinct vectors and the dimension;
+a cone's pointedness, rank and faces on its generators and the
+dimension, so each face lattice is built once and its faces keep the
+normals they compute; :meth:`Cone.intersect` on both cones' normals;
+:func:`relint_meets` on one cone's generators and the other's normals;
+:func:`relint_common_point` on both cones' generators and the region's
+normals, where a separating normal of either cone decides a disjoint
+pair before any elimination.  No exception is stored, so bad input
+raises on every call.  The memos sit in private helpers below the public
+names, so every public call still happens, and each stores tuples or
+immutable cones, so no caller can alter a cached answer.
 """
 
 from __future__ import annotations
@@ -453,15 +452,16 @@ def dual_description(vectors, dim):
     ``y = sum_j lambda_j v_j, lambda >= 0`` is projected onto ``y`` by the
     Fourier-Motzkin engine.  No vectors give ``signed_basis(dim)``, which
     is both the normals of the zero cone and the generators of the space.
-    The answer is memoised on the primitive directions in input order (the
-    elimination's tie rule sees that order) and ``dim``; each call returns
+    The answer is memoised on the vectors as given, in input order (the
+    elimination's tie rule sees that order), and ``dim``; each call returns
     a fresh list.
     """
-    return list(_dual(tuple(_directions(vectors, dim)), dim))
+    return list(_dual(tuple(map(tuple, vectors)), dim))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _dual(vecs, dim):
+    vecs = _directions(vecs, dim)
     if not vecs:
         return tuple(signed_basis(dim))
     rows = []
@@ -484,37 +484,36 @@ class Cone:
 
     Stored by primitive integer generators; a generator that is a
     nonnegative combination of the others is pruned deterministically, by
-    the same exact test that prunes redundant normals, and the pruning is
-    memoised on the sorted distinct directions, so rebuilding a cone from
-    generators seen before costs no elimination.  The inequality description
-    is kept on the instance: :meth:`from_inequalities` passes the pruned
-    normals it was given as the private ``_normals``, with their dual
-    description as the generators, which are then not pruned again; else it
-    is computed lazily, once per instance, by
-    :func:`dual_description` (itself memoised).  The zero cone has an empty
-    generator list.  Instances are immutable; equality is set equality.
-    The stored generators are sorted, irredundant and primitive, so for a
-    pointed cone they are exactly its primitive extreme rays: equal
-    generator tuples are equal cones, differing tuples with a pointed side
-    are unequal, and only two cones that both contain a line are compared
-    by mutual containment.  The hash of a pointed cone is the hash of its
-    generator tuple; every cone that contains a line hashes to one value
-    per ambient dimension.  The hash, and the pointedness and rank read
-    from their memo, are kept on the instance once computed.
+    the same exact test that prunes redundant normals, and the stored
+    generators are memoised on the generators as given, so rebuilding a cone
+    seen before costs one lookup.  The inequality description is kept on the
+    instance: :meth:`from_inequalities` passes the pruned normals it was
+    given as the private ``_normals``, with their dual description as the
+    generators, which are then not pruned again; else it is computed lazily,
+    once per instance, by :func:`dual_description` (itself memoised).  The
+    zero cone has an empty generator list.  Instances are immutable;
+    equality is set equality.  The stored generators are sorted, irredundant
+    and primitive, so for a pointed cone they are exactly its primitive
+    extreme rays: equal generator tuples are equal cones, differing tuples
+    with a pointed side are unequal, and only two cones that both contain a
+    line are compared by mutual containment.  The hash of a pointed cone is
+    the hash of its generator tuple; every cone that contains a line hashes
+    to one value per ambient dimension.  The hash, and the pointedness and
+    rank read from their memo, are kept on the instance once computed.
     """
 
     __slots__ = ("ambient_dim", "generators", "_normals", "_hash", "_shape")
 
     def __init__(self, generators, ambient_dim=None, _normals=None):
-        gens = list(generators)
+        gens = tuple(map(tuple, generators))
         if ambient_dim is None:
             if not gens:
                 raise ValueError("ambient dimension required for the zero cone")
             ambient_dim = len(gens[0])
         if _normals is None:
-            gens = _irredundant(_directions(gens, ambient_dim), ambient_dim)
+            gens = _generators(gens, ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_normals", _normals)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_shape", None)
@@ -615,6 +614,12 @@ class Cone:
 
     def __repr__(self):
         return "Cone(%r, dim=%d)" % (list(self.generators), self.ambient_dim)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _generators(vectors, dim):
+    """The stored generators of the cone ``vectors`` span, keyed on the vectors as given."""
+    return _irredundant(_directions(vectors, dim), dim)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -164,43 +164,12 @@ def validate_colored_cone(space, cc, member=None):
     intersection with the valuation cone.  CC2: the relative interior meets
     the valuation cone.  CC3: no selected color vector is zero.  SC: the
     cone contains no line.  Unknown palette indices raise KeyError.
-
-    CC1 is decided without building a cone, and only on a strictly convex
-    cone (a cone with a line is reported SC alone).  There each generator
-    spans an extreme ray, and a sum of elements of the cone that lies on an
-    extreme ray has every summand on it; so CC1 holds exactly when every
-    color vector lies in the cone and every generator lies in the valuation
-    cone or on the ray of a nonzero color vector.
     """
-    report = ValidationReport()
-    sigma = cc.cone
-    if sigma.ambient_dim != space.rank:
-        report.add(member, "SPACE", "cone dimension %d != rank %d" % (sigma.ambient_dim, space.rank))
-        return report
-    color_vectors = [space.palette_vector(j) for j in sorted(cc.colors)]
-
-    for j in sorted(cc.colors):
-        if is_zero_vector(space.palette_vector(j)):
-            report.add(member, "CC3", "color %s maps to the zero vector" % space.palette[j][0])
-
-    pointed = sigma.is_pointed()
-    color_rays = {primitive(v)[0] for v in color_vectors if not is_zero_vector(v)}
-    if pointed and not (
-        all(sigma.contains(v) for v in color_vectors)
-        and all(g in color_rays or space.valuation_cone.contains(g) for g in sigma.generators)
-    ):
-        report.add(
-            member,
-            "CC1",
-            "cone is not generated by its colors plus its valuation-cone part",
-        )
-
-    if not relint_meets(sigma, space.valuation_cone):
-        report.add(member, "CC2", "relative interior misses the valuation cone")
-
-    if not pointed:
-        report.add(member, "SC", "cone contains a line (not strictly convex)")
-    return report
+    if cc.cone.ambient_dim != space.rank:
+        problems = [("SPACE", "cone dimension %d != rank %d" % (cc.cone.ambient_dim, space.rank))]
+    else:
+        problems = _facts(space, cc)[0]
+    return ValidationReport([Violation(member, axiom, message) for axiom, message in problems])
 
 
 def colored_faces(space, cc):
@@ -218,19 +187,52 @@ def colored_faces(space, cc):
 
 
 def _colored_faces(space, cc):
-    """The colored faces of ``cc``, memoised on its cone's generators and
-    dimension and the sorted (index, vector) pairs of its colors; each call
-    returns a fresh list."""
-    colors = tuple(sorted((j, space.palette_vector(j)) for j in cc.colors))
-    return list(_colored_face_tuple(cc.cone.generators, cc.cone.ambient_dim, colors))
+    """The colored faces of ``cc``, as a fresh list."""
+    return list(_facts(space, cc)[1])
+
+
+def _facts(space, cc):
+    """:func:`_member_facts` of ``cc`` over ``space``; unknown indices raise KeyError."""
+    colors = tuple(sorted((j, space.palette_vector(j), space.palette[j][0]) for j in cc.colors))
+    vc = space.valuation_cone
+    return _member_facts(cc.cone.generators, cc.cone.ambient_dim, colors, vc.generators, vc.ambient_dim)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _colored_face_tuple(gens, dim, colors):
-    return tuple(
-        ColoredCone(face, frozenset(j for j, v in colors if face.contains(v)))
-        for face in Cone(gens, dim).faces()
+def _member_facts(gens, dim, colors, vc_gens, vc_dim):
+    """``(problems, faces, supported, face_set)`` of the cone ``gens`` spans,
+    colored by ``colors`` (sorted (index, vector, label) triples), over the
+    valuation cone ``vc_gens`` spans: its CC3, CC1, CC2 and SC ``(axiom,
+    message)`` pairs; its colored faces, in :meth:`Cone.faces` order (a
+    color of the wrong length, on which CC1 raises, lies in none); those
+    meeting the valuation cone in their relative interior; and their set.
+
+    CC1 is decided without building a cone, and only on a strictly convex
+    cone (a cone with a line is reported SC alone).  There each generator
+    spans an extreme ray, and a sum of elements of the cone that lies on an
+    extreme ray has every summand on it; so CC1 holds exactly when every
+    color vector lies in the cone and every generator lies in the valuation
+    cone or on the ray of a nonzero color vector.
+    """
+    sigma, valuation = Cone(gens, dim), Cone(vc_gens, vc_dim)
+    problems = [("CC3", "color %s maps to the zero vector" % c) for _, v, c in colors if is_zero_vector(v)]
+    pointed = sigma.is_pointed()
+    color_rays = {primitive(v)[0] for _, v, _ in colors if not is_zero_vector(v)}
+    if pointed and not (
+        all(sigma.contains(v) for _, v, _ in colors)
+        and all(g in color_rays or valuation.contains(g) for g in gens)
+    ):
+        problems.append(("CC1", "cone is not generated by its colors plus its valuation-cone part"))
+    if not relint_meets(sigma, valuation):
+        problems.append(("CC2", "relative interior misses the valuation cone"))
+    if not pointed:
+        problems.append(("SC", "cone contains a line (not strictly convex)"))
+    faces = tuple(
+        ColoredCone(face, frozenset(j for j, v, _ in colors if len(v) == dim and face.contains(v)))
+        for face in sigma.faces()
     )
+    supported = tuple(f for f in faces if relint_meets(f.cone, valuation))
+    return tuple(problems), faces, supported, frozenset(faces)
 
 
 def validate_colored_fan(fan):
@@ -251,26 +253,20 @@ def validate_colored_fan(fan):
     for problem in space.invariant_problems():
         report.add(None, "SPACE", problem)
 
-    member_ok = []
     members = set(fan.cones)
+    missing = ValidationReport()
     for i, cc in enumerate(fan.cones):
         sub = validate_colored_cone(space, cc, member=i)
         report.extend(sub)
-        member_ok.append(sub.ok)
-
-    for i, cc in enumerate(fan.cones):
-        if not member_ok[i]:
-            continue
-        for face in _colored_faces(space, cc):
-            if not relint_meets(face.cone, space.valuation_cone):
-                continue
+        for face in _facts(space, cc)[2] if sub.ok else ():
             if face not in members:
-                report.add(
+                missing.add(
                     i,
                     "CF1",
                     "colored face %r with colors %s is missing from the fan"
                     % (list(face.cone.generators), sorted(face.colors)),
                 )
+    report.extend(missing)
 
     for i in range(len(fan.cones)):
         for j in range(i + 1, len(fan.cones)):
@@ -370,10 +366,9 @@ def star(fan, cc, restriction_colors=None):
 
     members = {}
     for member in fan.cones:
-        if cc not in _colored_faces(space, member):
-            continue
-        image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
-        image_colors = frozenset(index_map[j] for j in member.colors & survivors)
-        members.setdefault(ColoredCone(image_cone, image_colors))
+        if cc in _facts(space, member)[3]:
+            image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
+            image_colors = frozenset(index_map[j] for j in member.colors & survivors)
+            members.setdefault(ColoredCone(image_cone, image_colors))
     quotient_fan = ColoredFan(quotient_space, sorted(members, key=lambda c: c.sort_key()))
     return StarResult(projection, kernel, quotient_space, quotient_fan)

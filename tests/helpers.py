@@ -5,9 +5,10 @@ import json
 import re
 from fractions import Fraction
 
+from sphertrop import lattice, luna_vust
 from sphertrop.documents import DocumentError
-from sphertrop.lattice import Cone, dot, primitive, is_zero_vector
-from sphertrop.luna_vust import ColoredCone
+from sphertrop.lattice import Cone, dot, primitive, is_zero_vector, relint_meets
+from sphertrop.luna_vust import ColoredCone, ValidationReport
 from sphertrop.puiseux import INF, PuiseuxParseError, PuiseuxPoly, _from_ratios, determinant, divexact
 from sphertrop.tropicalize import OffSpaceError
 
@@ -297,6 +298,54 @@ def cc1_by_construction(space, cc):
         [v for v in colors if not is_zero_vector(v)] + list(intersection.generators), space.rank
     )
     return regenerated == sigma
+
+
+def memos():
+    """Every memo (``lru_cache``) of ``lattice`` and ``luna_vust``."""
+    return [f for module in (lattice, luna_vust) for f in vars(module).values() if hasattr(f, "cache_info")]
+
+
+def clear_memos():
+    """Empty every memo of ``lattice`` and ``luna_vust``, as in a fresh process."""
+    for memo in memos():
+        memo.cache_clear()
+
+
+def reference_validate_colored_cone(space, cc, member=None):
+    """The colored-cone axioms decided on every call, from ``cc``'s own cone.
+
+    ``validate_colored_cone`` before it read its report from one memo of
+    member facts; kept as the reference that memo is compared with.
+    """
+    report = ValidationReport()
+    sigma = cc.cone
+    if sigma.ambient_dim != space.rank:
+        report.add(member, "SPACE", "cone dimension %d != rank %d" % (sigma.ambient_dim, space.rank))
+        return report
+    color_vectors = [space.palette_vector(j) for j in sorted(cc.colors)]
+
+    for j in sorted(cc.colors):
+        if is_zero_vector(space.palette_vector(j)):
+            report.add(member, "CC3", "color %s maps to the zero vector" % space.palette[j][0])
+
+    pointed = sigma.is_pointed()
+    color_rays = {primitive(v)[0] for v in color_vectors if not is_zero_vector(v)}
+    if pointed and not (
+        all(sigma.contains(v) for v in color_vectors)
+        and all(g in color_rays or space.valuation_cone.contains(g) for g in sigma.generators)
+    ):
+        report.add(
+            member,
+            "CC1",
+            "cone is not generated by its colors plus its valuation-cone part",
+        )
+
+    if not relint_meets(sigma, space.valuation_cone):
+        report.add(member, "CC2", "relative interior misses the valuation cone")
+
+    if not pointed:
+        report.add(member, "SC", "cone contains a line (not strictly convex)")
+    return report
 
 
 def reference_colored_faces(space, cc):

@@ -1,7 +1,7 @@
 """Every layer the traced benchmark run calls busy sees calls.
 
 One traced round of seed 1 of each workload runs through
-``bench.tracing.Tracer``, from cold lattice memos as in a fresh bench
+``bench.tracing.Tracer``, from cold memos as in a fresh bench
 process.  ``idle_layers`` must come back empty, as the traced run requires,
 and the valuation cone of each gln_curves space, built by
 ``Cone.from_inequalities``, must show up in the ``lattice.cone_init`` span.
@@ -16,12 +16,11 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from bench import oracle, pipeline, tracing, workloads  # noqa: E402
-from sphertrop import lattice  # noqa: E402
+from helpers import clear_memos  # noqa: E402
 
 
 def _traced_round(workload):
-    for memo in (f for f in vars(lattice).values() if hasattr(f, "cache_clear")):
-        memo.cache_clear()
+    clear_memos()
     batch = next(workloads.rounds(workload, 1))
     tracer = tracing.Tracer()
     tracer.install()

@@ -30,7 +30,7 @@ from sphertrop.lattice import (
     smith_normal_form,
 )
 
-from helpers import _row_reduce, random_cone, subset_face_generators
+from helpers import _row_reduce, clear_memos, memos, random_cone, subset_face_generators
 
 
 # --- primitive -------------------------------------------------------------
@@ -455,10 +455,6 @@ def test_relint_common_point_certificate_agrees_with_elimination():
     assert separated >= 20
 
 
-def _memos():
-    return [f for f in vars(lattice).values() if hasattr(f, "cache_info")]
-
-
 def test_relint_answers_match_cold_and_warm():
     rng = random.Random(6)
     V = Cone.from_inequalities([(1, -1)], 2)
@@ -473,8 +469,7 @@ def test_relint_answers_match_cold_and_warm():
 
     cold = []
     for a, b in pairs:
-        for memo in _memos():
-            memo.cache_clear()
+        clear_memos()
         cold.append(answers(a, b))
     for a, b in pairs:
         answers(a, b)  # fill the memos, so the pass below reads them
@@ -486,10 +481,56 @@ def test_relint_answers_match_cold_and_warm():
 
 
 def test_memos_are_bounded():
-    memos = _memos()
-    assert memos
-    for memo in memos:
+    assert {memo.__module__ for memo in memos()} == {"sphertrop.lattice", "sphertrop.luna_vust"}
+    for memo in memos():
         assert isinstance(memo.cache_info().maxsize, int)
+
+
+def test_a_cone_is_looked_up_before_its_generators_are_normalised():
+    """``Cone`` reads its generators from a memo keyed on the vectors as
+    given; the answer is the normalisation it skips, cold and warm."""
+    rng = random.Random(41)
+    cases = [
+        [(2, 4), (1, 2), (0, 3), (2, 4)],  # duplicates, non-primitive vectors
+        [[Fraction(1, 2), 1], [3, 6], [0, 0]],  # lists of lists, Fractions, the zero vector
+        [(Fraction(2), Fraction(4)), (Fraction(-3, 7), 0)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, -1, 0)],  # a line
+    ]
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
+        vectors += rng.sample(vectors, rng.randint(0, len(vectors)))  # duplicates
+        vectors = [[Fraction(a, rng.randint(1, 3)) if rng.random() < 0.3 else 2 * a for a in v] for v in vectors]
+        cases.append(vectors)
+    for vectors in cases:
+        dim = len(vectors[0])
+        expected = lattice._irredundant(lattice._directions(vectors, dim), dim)
+        clear_memos()
+        assert Cone(vectors, dim).generators == expected
+        assert Cone(vectors).generators == expected
+        assert Cone(iter(vectors), dim).generators == expected
+        assert all(type(a) is int for g in expected for a in g)
+        # dual_description is looked up on the vectors as given too
+        assert dual_description(vectors, dim) == list(lattice._dual(tuple(lattice._directions(vectors, dim)), dim))
+    # an int and an equal Fraction are one key, with one answer
+    assert Cone([(2, 4)]).generators == ((1, 2),)
+    hits = lattice._generators.cache_info().hits
+    assert Cone([(Fraction(2), Fraction(4))]).generators == ((1, 2),)
+    assert lattice._generators.cache_info().hits == hits + 1
+
+
+def test_a_bad_cone_raises_on_every_call_and_a_cone_keeps_its_generators():
+    for _ in range(2):  # no exception is memoised
+        with pytest.raises(ValueError):
+            Cone([(1, 0), (1, 0, 0)], 2)
+        with pytest.raises(ValueError):
+            dual_description([(1, 0), (1, 0, 0)], 2)
+    vectors = [[1, 0], [0, 1]]
+    cone = Cone(vectors, 2)
+    vectors[0][0] = 5
+    vectors.append([-1, -1])
+    assert cone.generators == ((0, 1), (1, 0))
+    assert Cone([[1, 0], [0, 1]], 2).generators == ((0, 1), (1, 0))
 
 
 def test_dual_description_result_is_a_fresh_list():

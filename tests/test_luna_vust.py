@@ -21,7 +21,13 @@ from sphertrop.luna_vust import (
 )
 
 from fuzz import MUTATION_KINDS, mutations
-from helpers import cc1_by_construction, random_cone, reference_colored_faces
+from helpers import (
+    cc1_by_construction,
+    clear_memos,
+    random_cone,
+    reference_colored_faces,
+    reference_validate_colored_cone,
+)
 
 GL2 = builtin_space("gln", 2)
 E = 0  # palette index of the single gl2 color, vector (-1, 1)
@@ -408,8 +414,7 @@ def test_members_are_validated_once(monkeypatch):
 def test_orthant_fan_pairs_need_no_elimination(monkeypatch):
     """The 81 faces of the rank-4 orthant fan, validated cold: each of the
     3,240 member pairs has a separating member normal, so none runs an LP."""
-    for memo in (f for f in vars(lattice).values() if hasattr(f, "cache_clear")):
-        memo.cache_clear()
+    clear_memos()
     members = []
     for signs in itertools.product((-1, 0, 1), repeat=4):
         gens = [tuple(s if j == i else 0 for j in range(4)) for i, s in enumerate(signs) if s]
@@ -430,27 +435,127 @@ def test_orthant_fan_pairs_need_no_elimination(monkeypatch):
 
 
 def test_a_repeated_fan_document_decides_no_cone_fact_again(monkeypatch):
-    """Validating, starring and decoloring a second, freshly parsed copy of
-    one fan/1 document reads pointedness, rank, colored faces and clipped
-    members from their memos: no memo body runs and no rank is computed."""
-    memos = (lattice._pointed_rank, lattice._intersect, luna_vust._colored_face_tuple)
+    """A second, freshly parsed copy of one fan/1 document is parsed,
+    validated, starred and decolored from the memos alone: each cone is
+    looked up before its generators are normalised, and each member's axioms,
+    colored faces, pointedness, rank and clipped cone are read from their
+    memos, so no memo body runs, no vector is normalised (``_directions``)
+    and no rank is computed."""
+    memos = (lattice._generators, lattice._pointed_rank, lattice._intersect, luna_vust._member_facts)
 
-    def run():
-        fan = fig1_fan()
+    def run(fan):
         assert validate_colored_fan(fan).ok
         star(fan, member_with_gens(fan, ((-1, -1),)))
         decolor(fan)
 
-    run()
+    run(fig1_fan())
     before = [memo.cache_info() for memo in memos]
-    ranks = []
-    rank = lattice.matrix_rank
-    monkeypatch.setattr(lattice, "matrix_rank", lambda rows: ranks.append(rows) or rank(rows))
-    run()
+    # the catalog's gln2 space, which the document names, is rebuilt by
+    # Cone.from_inequalities, which normalises its normals: parse it uncounted
+    fresh = fig1_fan()
+    calls = []
+    for name in ("_directions", "matrix_rank"):
+        fn = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    run(fresh)
     after = [memo.cache_info() for memo in memos]
     assert [info.misses for info in after] == [info.misses for info in before]
     assert all(a.hits > b.hits for a, b in zip(after, before))
-    assert ranks == []
+    assert calls == []
+
+
+# --- member facts against the reference ------------------------------------------
+
+
+def _member_answers(space, member):
+    """The report and the three face listings, read from the member-facts memo."""
+    _, faces, supported, face_set = luna_vust._facts(space, member)
+    report = validate_colored_cone(space, member, member=7)
+    return report.violations, _face_table(faces), _face_table(supported), face_set
+
+
+def _reference_answers(space, member):
+    faces = reference_colored_faces(space, member)
+    supported = [f for f in faces if lattice.relint_meets(f.cone, space.valuation_cone)]
+    report = reference_validate_colored_cone(space, member, member=7)
+    return report.violations, _face_table(faces), _face_table(supported), frozenset(faces)
+
+
+def _member_cases():
+    rng = random.Random(31)
+    cases = []
+    for space in (GL2, builtin_space("gln", 3), builtin_space("torus", 3)):
+        cases.append((space, ColoredCone(Cone([], space.rank))))
+        for _ in range(40):
+            colors = frozenset(j for j in range(len(space.palette)) if rng.random() < 0.5)
+            gens = list(random_cone(rng, space.rank, max_gens=rng.choice([1, 2, space.rank + 2])).generators)
+            if rng.random() < 0.5:  # colors on rays of the cone
+                gens += [space.palette_vector(j) for j in colors]
+            if rng.random() < 0.25:  # a line
+                gens.append(vec_scale(-1, rng.choice(gens)))
+            cases.append((space, ColoredCone(Cone(gens, space.rank), colors)))
+    fan = fig1_fan()
+    for _, mutated, _ in mutations(fan, random.Random(32), 30):
+        cases += [(space, member) for member in mutated.cones for space in (fan.space, mutated.space)]
+    return cases
+
+
+def test_member_facts_match_the_reference_cold_and_warm():
+    cases = _member_cases()
+    kinds = set()
+    for space, member in cases:
+        clear_memos()
+        assert _member_answers(space, member) == _reference_answers(space, member)
+        kinds |= validate_colored_cone(space, member).axioms()
+        kinds.add(("dim", member.cone.dim() - space.rank))
+    for space, member in cases:
+        _member_answers(space, member)  # fill the memos, so the pass below reads them
+    for space, member in cases:
+        assert _member_answers(space, member) == _reference_answers(space, member)
+    assert {"CC1", "CC2", "CC3", "SC", ("dim", -1), ("dim", 0)} <= kinds
+    assert luna_vust._member_facts.cache_info().hits >= len(cases)
+
+
+def test_member_facts_keep_each_palette_label():
+    """Equal color vectors under different labels share no memo entry: a CC3
+    message names the label of its own palette."""
+    member = cc([(1, 0)], {0, 1})
+    for vector in ((0, 0), (-1, 1)):
+        for labels in (("A", "B"), ("B", "A"), ("A", "C"), ("A", "B")):
+            space = dataclasses.replace(GL2, palette=tuple((label, vector) for label in labels))
+            report = validate_colored_cone(space, member)
+            assert report.violations == reference_validate_colored_cone(space, member).violations
+            cc3 = [v.message for v in report.violations if v.axiom == "CC3"]
+            expected = ["color %s maps to the zero vector" % label for label in labels]
+            assert cc3 == (expected if vector == (0, 0) else [])
+
+
+def test_member_facts_raise_and_report_as_the_reference():
+    for colors in ({1}, {-1}, {E, 5}):
+        member = cc([(1, 0)], colors)
+        for _ in range(2):  # no exception is memoised
+            with pytest.raises(KeyError):
+                validate_colored_cone(GL2, member)
+            with pytest.raises(KeyError):
+                luna_vust._colored_faces(GL2, member)
+            with pytest.raises(KeyError):
+                reference_validate_colored_cone(GL2, member)
+    # a cone of the wrong dimension is reported before any color is read
+    for colors in ((), {E}, {5}):
+        member = ColoredCone(Cone([(1, 0, 0)], 3), frozenset(colors))
+        report = validate_colored_cone(GL2, member, member=2)
+        assert report.axioms() == {"SPACE"}
+        assert report.violations == reference_validate_colored_cone(GL2, member, member=2).violations
+    # a color vector of the wrong length: a pointed member raises, as the
+    # reference does, and a member with a line is reported SC alone
+    space = dataclasses.replace(GL2, palette=(("W", (1, 0, 0)),))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            validate_colored_cone(space, cc([(1, 0)], {E}))
+        with pytest.raises(ValueError):
+            reference_validate_colored_cone(space, cc([(1, 0)], {E}))
+        line = cc([(1, 1), (-1, -1)], {E})
+        assert validate_colored_cone(space, line).violations == reference_validate_colored_cone(space, line).violations
 
 
 # --- fuzzer ---------------------------------------------------------------------------
