@@ -25,7 +25,8 @@ that compare equal have equal directions) and the dimension; pruning
 (:func:`_irredundant`) on the sorted distinct vectors and the dimension;
 a cone's pointedness, rank and faces on its generators and the
 dimension, so each face lattice is built once and its faces keep the
-normals they compute; :meth:`Cone.intersect` on both cones' normals;
+normals they compute; :meth:`Cone.from_inequalities`, and so
+:meth:`Cone.intersect`, on the normals as given and the dimension;
 :func:`relint_meets` on one cone's generators and the other's normals;
 :func:`relint_common_point` on both cones' generators and the region's
 normals, where a separating normal of either cone decides a disjoint
@@ -528,10 +529,12 @@ class Cone:
         The dual description of the pruned normals is already sorted,
         primitive and irredundant, so it is stored as the generators without
         pruning again; no normals give the whole space, whose signed basis
-        only needs sorting, with no elimination at all.
+        only needs sorting, with no elimination at all.  Both are memoised
+        on the normals as given, so cutting out a cone seen before costs one
+        lookup and normalises nothing.
         """
-        pruned = _irredundant(_directions(normals, ambient_dim), ambient_dim)
-        return cls(sorted(dual_description(pruned, ambient_dim)), ambient_dim, pruned)
+        pruned, gens = _cut_out(tuple(map(tuple, normals)), ambient_dim)
+        return cls(gens, ambient_dim, pruned)
 
     @property
     def inequalities(self):
@@ -573,10 +576,10 @@ class Cone:
         return all(self.contains(g) for g in other.generators)
 
     def intersect(self, other):
-        """The cone cut out by both cones' normals, memoised on them and the dimension."""
+        """The cone cut out by both cones' normals."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return _intersect(self.inequalities, other.inequalities, self.ambient_dim)
+        return Cone.from_inequalities(self.inequalities + other.inequalities, self.ambient_dim)
 
     def faces(self):
         """All faces, including the cone itself and its minimal face.
@@ -635,8 +638,10 @@ def _pointed_rank(gens, dim):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _intersect(normals_a, normals_b, dim):
-    return Cone.from_inequalities(normals_a + normals_b, dim)
+def _cut_out(normals, dim):
+    """``(pruned normals, sorted generators)`` of the cone ``normals`` cut out, keyed on the normals as given."""
+    pruned = _irredundant(_directions(normals, dim), dim)
+    return pruned, tuple(sorted(dual_description(pruned, dim)))
 
 
 @lru_cache(maxsize=MEMO_SIZE)

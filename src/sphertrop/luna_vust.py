@@ -9,6 +9,7 @@ demonstrated as first-class results.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -105,9 +106,11 @@ class ColoredFan:
     """A finite collection of colored cones over one space.
 
     :func:`validate_colored_fan` stores its violations on the fan object,
-    which is immutable, and reads them back on later calls.  The store is per
-    object, not per ``==``: equal fans whose members contain a line can list
-    different generators, and so get different CF2 witnesses.
+    which is immutable, and reads them back on later calls.  Across objects,
+    only the verdict valid is shared, keyed on the space and the member set:
+    an invalid fan's report lists members by their index, and equal fans
+    whose members contain a line can list different generators, and so get
+    different CF2 witnesses.
     """
 
     space: SphericalSpace
@@ -235,6 +238,38 @@ def _member_facts(gens, dim, colors, vc_gens, vc_dim):
     return tuple(problems), faces, supported, frozenset(faces)
 
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _ValidSets:
+    """The ``(space, member set)`` keys of the fans found valid: at most
+    ``MEMO_SIZE``, oldest out first, counted and cleared as the
+    ``lru_cache`` memos are."""
+
+    def __init__(self):
+        self.cache_clear()
+
+    def __contains__(self, key):
+        found = key in self.keys
+        self.hits += found
+        self.misses += not found
+        return found
+
+    def add(self, key):
+        self.keys[key] = None
+        if len(self.keys) > MEMO_SIZE:
+            del self.keys[next(iter(self.keys))]
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, MEMO_SIZE, len(self.keys))
+
+    def cache_clear(self):
+        self.keys, self.hits, self.misses = {}, 0, 0
+
+
+_valid_sets = _ValidSets()
+
+
 def validate_colored_fan(fan):
     """Check every member's cone axioms plus the fan axioms CF1 and CF2.
 
@@ -245,15 +280,24 @@ def validate_colored_fan(fan):
     inside the valuation cone, relative interiors of distinct members are
     disjoint; violations carry an exact rational witness point.  Each fan
     object is checked once; every call returns a fresh report.
+
+    Every axiom is about one member or a pair of members, so validity
+    depends on the space and the member set alone: a fan whose members
+    repeat none and form a set found valid before, over an equal space, is
+    valid with no check.  Any other fan is checked in its member order.
     """
     if fan._violations is not None:
         return ValidationReport(list(fan._violations))
     space = fan.space
+    members = frozenset(fan.cones)
+    key = (space, members) if len(members) == len(fan.cones) else None
+    if key is not None and key in _valid_sets:
+        object.__setattr__(fan, "_violations", ())
+        return ValidationReport()
     report = ValidationReport()
     for problem in space.invariant_problems():
         report.add(None, "SPACE", problem)
 
-    members = set(fan.cones)
     missing = ValidationReport()
     for i, cc in enumerate(fan.cones):
         sub = validate_colored_cone(space, cc, member=i)
@@ -281,6 +325,8 @@ def validate_colored_fan(fan):
                     % (i, j, ", ".join(map(str, witness))),
                     witness=witness,
                 )
+    if report.ok and key is not None:
+        _valid_sets.add(key)
     object.__setattr__(fan, "_violations", tuple(report.violations))
     return report
 
@@ -290,19 +336,34 @@ def decolor(fan):
 
     The result is closed under faces and toroidal: it collects every face
     of every clipped cone, the clipped cone included, once each (by one
-    hash lookup; of equal faces the first one collected stays).  It is
-    re-validated and the report returned alongside the fan.
+    hash lookup).  It is re-validated and the report returned alongside
+    the fan.  The fan is memoised by :func:`_decolored`.
     """
     base = validate_colored_fan(fan)
     if not base.ok:
         raise InvalidColoredConeError(base)
     space = fan.space
-    collected = dict.fromkeys(
-        face for cc in fan.cones for face in cc.cone.intersect(space.valuation_cone).faces()
-    )
-    faces = sorted(collected, key=lambda c: c.sort_key())
-    out = ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in faces))
+    out = _decolored(space, space.valuation_cone.generators, frozenset(fan.cones))
     return out, validate_colored_fan(out)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _decolored(space, vc_gens, members):
+    """The decolored fan of the valid fan of ``members`` over ``space``.
+
+    Members of a valid fan are pointed, and so are their clipped cones and
+    the faces of those; equal faces then have equal generators, and the
+    fan does not depend on the member order.  The key holds the valuation
+    cone's generators, which the output's space lists: equal cones with a
+    line can list different ones.
+    """
+    collected = dict.fromkeys(
+        face
+        for cc in sorted(members, key=ColoredCone.sort_key)
+        for face in cc.cone.intersect(space.valuation_cone).faces()
+    )
+    faces = sorted(collected, key=Cone.sort_key)
+    return ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in faces))
 
 
 @dataclass(frozen=True)
@@ -324,13 +385,15 @@ def star(fan, cc, restriction_colors=None):
     survive on the orbit closure cannot be derived combinatorially, so they
     are the explicit parameter ``restriction_colors`` (palette indices);
     it defaults to the empty set, which is the correct value for colorless
-    fans, and is required when ``cc`` itself has colors.
+    fans, and is required when ``cc`` itself has colors.  The result is
+    memoised by :func:`_star`.
     """
     base = validate_colored_fan(fan)
     if not base.ok:
         raise InvalidColoredConeError(base)
     space = fan.space
-    if cc not in fan.cones:
+    members = frozenset(fan.cones)
+    if cc not in members:
         raise ValueError("the given colored cone is not a member of the fan")
     if cc.colors and restriction_colors is None:
         raise ValueError(
@@ -339,7 +402,19 @@ def star(fan, cc, restriction_colors=None):
     survivors = frozenset(restriction_colors or ())
     for j in survivors:
         space.palette_vector(j)  # raises KeyError when unknown
+    return _star(space, space.valuation_cone.generators, members, cc, survivors)
 
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _star(space, vc_gens, members, cc, survivors):
+    """The :class:`StarResult` of the member ``cc`` of the valid fan of
+    ``members`` over ``space``, keeping the palette indices ``survivors``.
+
+    Members of a valid fan are pointed, and so is the image of each member
+    having ``cc`` as a face; equal images then have equal generators, and
+    the result does not depend on the member order.  The key holds the
+    valuation cone's generators, which the quotient space's are read from.
+    """
     vs = list(cc.cone.generators)
     projection = tuple(quotient_projection(vs, space.rank))
     kernel = tuple(saturation_basis(vs, space.rank))
@@ -364,11 +439,11 @@ def star(fan, cc, restriction_colors=None):
         character_basis_labels=tuple("q%d" % (i + 1) for i in range(m)),
     )
 
-    members = {}
-    for member in fan.cones:
+    images = {}
+    for member in sorted(members, key=ColoredCone.sort_key):
         if cc in _facts(space, member)[3]:
             image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
             image_colors = frozenset(index_map[j] for j in member.colors & survivors)
-            members.setdefault(ColoredCone(image_cone, image_colors))
-    quotient_fan = ColoredFan(quotient_space, sorted(members, key=lambda c: c.sort_key()))
+            images.setdefault(ColoredCone(image_cone, image_colors))
+    quotient_fan = ColoredFan(quotient_space, sorted(images, key=ColoredCone.sort_key))
     return StarResult(projection, kernel, quotient_space, quotient_fan)

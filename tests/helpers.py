@@ -7,8 +7,18 @@ from fractions import Fraction
 
 from sphertrop import lattice, luna_vust
 from sphertrop.documents import DocumentError
-from sphertrop.lattice import Cone, dot, primitive, is_zero_vector, relint_meets
-from sphertrop.luna_vust import ColoredCone, ValidationReport
+from sphertrop.lattice import (
+    Cone,
+    dot,
+    is_zero_vector,
+    mat_vec,
+    primitive,
+    quotient_projection,
+    relint_common_point,
+    relint_meets,
+    saturation_basis,
+)
+from sphertrop.luna_vust import ColoredCone, ColoredFan, SphericalSpace, StarResult, ValidationReport
 from sphertrop.puiseux import INF, PuiseuxParseError, PuiseuxPoly, _from_ratios, determinant, divexact
 from sphertrop.tropicalize import OffSpaceError
 
@@ -301,8 +311,14 @@ def cc1_by_construction(space, cc):
 
 
 def memos():
-    """Every memo (``lru_cache``) of ``lattice`` and ``luna_vust``."""
-    return [f for module in (lattice, luna_vust) for f in vars(module).values() if hasattr(f, "cache_info")]
+    """Every memo of ``lattice`` and ``luna_vust``: each ``lru_cache`` and
+    ``luna_vust``'s store of the member sets found valid."""
+    return [
+        f
+        for module in (lattice, luna_vust)
+        for f in vars(module).values()
+        if hasattr(f, "cache_info") and not isinstance(f, type)
+    ]
 
 
 def clear_memos():
@@ -355,6 +371,87 @@ def reference_colored_faces(space, cc):
         ColoredCone(face, frozenset(j for j in cc.colors if face.contains(space.palette_vector(j))))
         for face in cc.cone.faces()
     ]
+
+
+def reference_validate_colored_fan(fan):
+    """The fan axioms checked in member order on every call, each member's
+    axioms and colored faces decided face by face.
+
+    ``validate_colored_fan`` before it kept the member sets found valid;
+    kept as the reference its reports are compared with.
+    """
+    space = fan.space
+    report = ValidationReport()
+    for problem in space.invariant_problems():
+        report.add(None, "SPACE", problem)
+    members = set(fan.cones)
+    missing = ValidationReport()
+    for i, cc in enumerate(fan.cones):
+        sub = reference_validate_colored_cone(space, cc, member=i)
+        report.extend(sub)
+        for face in reference_colored_faces(space, cc) if sub.ok else ():
+            if relint_meets(face.cone, space.valuation_cone) and face not in members:
+                missing.add(
+                    i,
+                    "CF1",
+                    "colored face %r with colors %s is missing from the fan"
+                    % (list(face.cone.generators), sorted(face.colors)),
+                )
+    report.extend(missing)
+    for i, j in itertools.combinations(range(len(fan.cones)), 2):
+        witness = relint_common_point(fan.cones[i].cone, fan.cones[j].cone, space.valuation_cone)
+        if witness is not None:
+            report.add(
+                i,
+                "CF2",
+                "relative interiors of members %d and %d share the point (%s) inside the valuation cone"
+                % (i, j, ", ".join(map(str, witness))),
+                witness=witness,
+            )
+    return report
+
+
+def reference_decolor(fan):
+    """The decolored fan of a valid fan, clipped member by member in member
+    order: ``decolor``'s body before its memo."""
+    space = fan.space
+    collected = dict.fromkeys(
+        face for cc in fan.cones for face in cc.cone.intersect(space.valuation_cone).faces()
+    )
+    faces = sorted(collected, key=lambda c: c.sort_key())
+    return ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in faces))
+
+
+def reference_star(fan, cc, restriction_colors=None):
+    """The star of the member ``cc`` of a valid fan, its members read in
+    member order: ``star``'s body before its memo."""
+    space = fan.space
+    survivors = frozenset(restriction_colors or ())
+    vs = list(cc.cone.generators)
+    projection = tuple(quotient_projection(vs, space.rank))
+    kernel = tuple(saturation_basis(vs, space.rank))
+    m = len(projection)
+    new_palette = []
+    index_map = {}
+    for j in sorted(survivors):
+        label, v = space.palette[j]
+        index_map[j] = len(new_palette)
+        new_palette.append((label, mat_vec(projection, v)))
+    quotient_space = SphericalSpace(
+        name="%s/star" % space.name,
+        rank=m,
+        valuation_cone=Cone([mat_vec(projection, g) for g in space.valuation_cone.generators], m),
+        palette=tuple(new_palette),
+        character_basis_labels=tuple("q%d" % (i + 1) for i in range(m)),
+    )
+    members = {}
+    for member in fan.cones:
+        if cc in reference_colored_faces(space, member):
+            image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
+            image_colors = frozenset(index_map[j] for j in member.colors & survivors)
+            members.setdefault(ColoredCone(image_cone, image_colors))
+    quotient_fan = ColoredFan(quotient_space, sorted(members, key=lambda c: c.sort_key()))
+    return StarResult(projection, kernel, quotient_space, quotient_fan)
 
 
 def subset_face_generators(cone):

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphertrop import lattice
+from sphertrop import lattice, luna_vust
 from sphertrop.catalog import builtin_space
 from sphertrop.lattice import (
     Cone,
@@ -484,6 +484,52 @@ def test_memos_are_bounded():
     assert {memo.__module__ for memo in memos()} == {"sphertrop.lattice", "sphertrop.luna_vust"}
     for memo in memos():
         assert isinstance(memo.cache_info().maxsize, int)
+    # the store of valid member sets drops its oldest key first
+    store = luna_vust._valid_sets
+    assert store in memos()
+    clear_memos()
+    for i in range(lattice.MEMO_SIZE + 2):
+        store.add(("key", i))
+    assert store.cache_info().currsize == lattice.MEMO_SIZE
+    assert ("key", 0) not in store and ("key", 1) not in store and ("key", 2) in store
+    clear_memos()
+    assert store.cache_info() == (0, 0, lattice.MEMO_SIZE, 0)
+
+
+def test_a_cone_is_cut_out_before_its_normals_are_normalised():
+    """``Cone.from_inequalities`` reads its normals and generators from a
+    memo keyed on the normals as given; the answer is the normalisation it
+    skips, cold and warm."""
+    cases = [
+        ([(1, -1)], 2),
+        ([(2, -2), (1, -1), (1, -1)], 2),  # duplicates, a non-primitive normal
+        ([(Fraction(1, 2), Fraction(-1, 2)), (3, 0)], 2),  # Fractions
+        ([[1, 0], [0, 1], [1, 1]], 2),  # lists, a redundant normal
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, -1), (0, 0, 0)], 3),  # an equality, the zero vector
+        ((), 3),  # the whole space
+    ]
+    rng = random.Random(43)
+    for _ in range(30):
+        dim = rng.randint(1, 4)
+        normals = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 5))]
+        normals += rng.sample(normals, rng.randint(0, len(normals)))  # duplicates
+        cases.append(([[Fraction(a, 2) if rng.random() < 0.3 else a for a in n] for n in normals], dim))
+    for normals, dim in cases:
+        pruned = lattice._irredundant(lattice._directions(normals, dim), dim)
+        expected = tuple(sorted(dual_description(pruned, dim)))
+        clear_memos()
+        for _ in range(2):  # cold, then warm
+            cone = Cone.from_inequalities(normals, dim)
+            assert (cone.inequalities, cone.generators) == (pruned, expected)
+            assert cone == Cone(expected, dim)
+    # an int and an equal Fraction are one key, with one answer
+    assert Cone.from_inequalities([(2, -2)], 2).inequalities == ((1, -1),)
+    hits = lattice._cut_out.cache_info().hits
+    assert Cone.from_inequalities([(Fraction(2), Fraction(-2))], 2).inequalities == ((1, -1),)
+    assert lattice._cut_out.cache_info().hits == hits + 1
+    for _ in range(2):  # no exception is memoised
+        with pytest.raises(ValueError):
+            Cone.from_inequalities([(1, -1), (1, 0, 0)], 2)
 
 
 def test_a_cone_is_looked_up_before_its_generators_are_normalised():

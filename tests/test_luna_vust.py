@@ -26,7 +26,10 @@ from helpers import (
     clear_memos,
     random_cone,
     reference_colored_faces,
+    reference_decolor,
+    reference_star,
     reference_validate_colored_cone,
+    reference_validate_colored_fan,
 )
 
 GL2 = builtin_space("gln", 2)
@@ -377,8 +380,8 @@ def test_fan_membership_is_colored_cone_equality():
     assert hash(cc([(-2, -2), (-1, -1)])) == hash(fan.cones[i]) and hash(fan) == hash(fig1_fan())
 
 
-def test_members_are_validated_once(monkeypatch):
-    fan = fig1_fan()
+def _counting_member_checks(monkeypatch):
+    """The colored cones ``validate_colored_cone`` is called on, from now on."""
     seen = []
 
     def counting(space, colored_cone, member=None):
@@ -386,24 +389,36 @@ def test_members_are_validated_once(monkeypatch):
         return validate_colored_cone(space, colored_cone, member)
 
     monkeypatch.setattr(luna_vust, "validate_colored_cone", counting)
+    return seen
+
+
+def test_members_are_validated_once(monkeypatch):
+    clear_memos()
+    fan = fig1_fan()
+    seen = _counting_member_checks(monkeypatch)
     assert validate_colored_fan(fan).ok
-    assert len(seen) == len(fan.cones)
+    assert seen == list(fan.cones)
     seen.clear()
-    # the fan object keeps its result: star and decolor validate no member
-    # again; decolor validates only the members of the fan it returns
+    # the fan object keeps its result: star validates no member again, and
+    # decolor validates no member of its output, whose member set (that of
+    # the toroidal input) is known valid
     star(fan, member_with_gens(fan, ((-1, -1),)))
+    out, report = decolor(fan)
+    assert report.ok and set(out.cones) == set(fan.cones) and out is not fan
     assert seen == []
-    out, _ = decolor(fan)
-    assert seen == list(out.cones)
-    seen.clear()
-    # an equal but fresh object is validated, each member exactly once
-    fresh = ColoredFan(fan.space, fan.cones)
-    assert fresh == fan and fresh is not fan
+    # an equal fresh fan in another member order validates no member
+    fresh = ColoredFan(fan.space, fan.cones[::-1])
     report = validate_colored_fan(fresh)
-    assert report.ok and seen == list(fan.cones)
+    assert report.ok and seen == []
     # a caller altering its report does not alter the next one
     report.violations.append("bogus")
     assert validate_colored_fan(fresh).violations == []
+    assert validate_colored_fan(ColoredFan(fan.space, fan.cones[2:] + fan.cones[:2])).violations == []
+    assert seen == []
+    # a fan with one extra member is another member set: validated in full
+    extra = ColoredFan(fan.space, fan.cones + (cc([(2, 1)]),))
+    assert validate_colored_fan(extra).axioms() == {"CF2"}
+    assert seen == list(extra.cones)
     broken = ColoredFan(fan.space, fan.cones + fan.cones[:1])
     first = validate_colored_fan(broken)
     expected = list(first.violations)
@@ -411,14 +426,21 @@ def test_members_are_validated_once(monkeypatch):
     assert validate_colored_fan(broken).violations == expected != []
 
 
+def orthant_fan(n, columns=None):
+    """The 3^n cones of the coordinate orthant fan of torus n, with the
+    unit vectors replaced by ``columns`` when given."""
+    columns = columns or signed_basis(n)[::2]
+    members = []
+    for signs in itertools.product((-1, 0, 1), repeat=n):
+        gens = [vec_scale(s, columns[i]) for i, s in enumerate(signs) if s]
+        members.append(ColoredCone(Cone(gens, n)))
+    return ColoredFan(builtin_space("torus", n), tuple(members))
+
+
 def test_orthant_fan_pairs_need_no_elimination(monkeypatch):
     """The 81 faces of the rank-4 orthant fan, validated cold: each of the
     3,240 member pairs has a separating member normal, so none runs an LP."""
     clear_memos()
-    members = []
-    for signs in itertools.product((-1, 0, 1), repeat=4):
-        gens = [tuple(s if j == i else 0 for j in range(4)) for i, s in enumerate(signs) if s]
-        members.append(ColoredCone(Cone(gens, 4)))
     calls = {"pairs": 0, "feasible": 0}
 
     def counted(name, fn):
@@ -430,18 +452,33 @@ def test_orthant_fan_pairs_need_no_elimination(monkeypatch):
 
     monkeypatch.setattr(luna_vust, "relint_common_point", counted("pairs", lattice.relint_common_point))
     monkeypatch.setattr(lattice, "feasible_point", counted("feasible", lattice.feasible_point))
-    assert validate_colored_fan(ColoredFan(builtin_space("torus", 4), tuple(members))).ok
+    assert validate_colored_fan(orthant_fan(4)).ok
     assert calls == {"pairs": 3240, "feasible": 0}
+
+
+def test_decolor_of_the_rank4_orthant_fan_validates_each_member_once_cold(monkeypatch):
+    """Cold, validating and decoloring the rank-4 orthant fan checks each of
+    its 81 members once: the decolored fan has the input's member set,
+    which is then known valid."""
+    clear_memos()
+    fan = orthant_fan(4)
+    seen = _counting_member_checks(monkeypatch)
+    assert validate_colored_fan(fan).ok
+    out, report = decolor(fan)
+    assert report.ok and len(seen) == 81
+    assert _fan_table(out) == _fan_table(reference_decolor(fan))
 
 
 def test_a_repeated_fan_document_decides_no_cone_fact_again(monkeypatch):
     """A second, freshly parsed copy of one fan/1 document is parsed,
-    validated, starred and decolored from the memos alone: each cone is
-    looked up before its generators are normalised, and each member's axioms,
-    colored faces, pointedness, rank and clipped cone are read from their
-    memos, so no memo body runs, no vector is normalised (``_directions``)
-    and no rank is computed."""
-    memos = (lattice._generators, lattice._pointed_rank, lattice._intersect, luna_vust._member_facts)
+    validated, starred and decolored from the memos alone: its space's
+    valuation cone is looked up before its normals are normalised, each
+    cone before its generators are, each member's facts are read from their
+    memo, and the copy's member set is known valid, with its star and its
+    decolored fan; so no memo body runs, no vector is normalised
+    (``_directions``) and no rank is computed."""
+    watched = (lattice._generators, lattice._cut_out, lattice._pointed_rank, luna_vust._member_facts)
+    fan_level = (luna_vust._valid_sets, luna_vust._star, luna_vust._decolored)
 
     def run(fan):
         assert validate_colored_fan(fan).ok
@@ -449,19 +486,134 @@ def test_a_repeated_fan_document_decides_no_cone_fact_again(monkeypatch):
         decolor(fan)
 
     run(fig1_fan())
-    before = [memo.cache_info() for memo in memos]
-    # the catalog's gln2 space, which the document names, is rebuilt by
-    # Cone.from_inequalities, which normalises its normals: parse it uncounted
-    fresh = fig1_fan()
+    before = [memo.cache_info() for memo in watched + fan_level]
     calls = []
     for name in ("_directions", "matrix_rank"):
         fn = getattr(lattice, name)
         monkeypatch.setattr(lattice, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
-    run(fresh)
-    after = [memo.cache_info() for memo in memos]
+    run(fig1_fan())
+    after = [memo.cache_info() for memo in watched + fan_level]
     assert [info.misses for info in after] == [info.misses for info in before]
-    assert all(a.hits > b.hits for a, b in zip(after, before))
+    assert all(a.hits > b.hits for a, b in zip(after[len(watched) :], before[len(watched) :]))
     assert calls == []
+
+
+# --- fan results against the reference, in every member order -----------------
+
+
+def _space_table(space):
+    return space, space.valuation_cone.generators
+
+
+def _fan_table(fan):
+    return _space_table(fan.space), [(m.cone.generators, m.colors) for m in fan.cones]
+
+
+def _star_table(result):
+    return result.projection, result.kernel_basis, _space_table(result.space), _fan_table(result.fan)
+
+
+def _shear(rng, n):
+    """The columns of a random signed permutation matrix, after one
+    elementary column operation with +-1 (none at rank 1)."""
+    columns = [vec_scale(rng.choice((-1, 1)), e) for e in rng.sample(signed_basis(n)[::2], n)]
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        columns[i] = tuple(a + rng.choice((-1, 1)) * b for a, b in zip(columns[i], columns[j]))
+    return columns
+
+
+def _colored_gln2_fan(rng):
+    """Members {0}, s, r, cone(s, r) and (cone(r, E2), {E2}), with r inside
+    the valuation cone below the diagonal and s inside it clockwise of r."""
+
+    def ray(accept):
+        while True:
+            v = (rng.randint(-2, 2), rng.randint(-2, 2))
+            if any(v) and Cone([v]).generators == (v,) and accept(v):
+                return v
+
+    r = ray(lambda v: v[0] > abs(v[1]))
+    s = ray(lambda v: v[0] >= v[1] and v[0] * r[1] - v[1] * r[0] > 0)
+    return ColoredFan(GL2, (cc([]), cc([s]), cc([r]), cc([s, r]), cc([r, (-1, 1)], {E})))
+
+
+def _valid_fans():
+    rng = random.Random(53)
+    fans = [fig1_fan(), ColoredFan(GL2, (cc([]), cc([(1, 0)]), cc([(-1, 1), (1, 0)], {E})))]
+    fans += [orthant_fan(n, _shear(rng, n)) for n in (2, 2, 3, 3, 4)]
+    fans += [_colored_gln2_fan(rng) for _ in range(4)]
+    return fans
+
+
+def _shuffled(rng, fan):
+    cones = list(fan.cones)
+    rng.shuffle(cones)
+    return ColoredFan(fan.space, tuple(cones))
+
+
+def test_fan_results_match_the_reference_in_every_member_order():
+    """Validation, star and decolor of valid fans, in shuffled member orders,
+    cold and warm, equal the member-order references; so does the report of
+    every invalid fan, which is never answered from the valid member sets."""
+    rng = random.Random(54)
+    invalid, repeated = [], []
+    for fan in _valid_fans():
+        clear_memos()
+        assert reference_validate_colored_fan(fan).ok
+        members = rng.sample(fan.cones, min(4, len(fan.cones)))
+        stars = []
+        for member in members:
+            survivors = rng.choice([(), {E}]) if fan.space.palette else None
+            stars.append((member, survivors, _star_table(reference_star(fan, member, survivors))))
+        decolored = _fan_table(reference_decolor(fan))
+        for order in range(3):
+            clear_memos()
+            for copy in (_shuffled(rng, fan), _shuffled(rng, fan)):  # cold, then warm in another order
+                assert validate_colored_fan(copy).violations == []
+                for member, survivors, expected in stars:
+                    assert _star_table(star(copy, member, survivors)) == expected
+                out, report = decolor(copy)
+                assert _fan_table(out) == decolored and report.ok
+        invalid += [mutated for _, mutated, _ in mutations(fan, rng, 5)]
+        # a repeated member: the member set is valid, the fan is not
+        repeated.append((fan, ColoredFan(fan.space, fan.cones + (rng.choice(fan.cones[1:]),))))
+    invalid += [fan for _, fan in repeated]
+    assert {fan.space.rank for fan in invalid} == {2, 3, 4}
+    stored = luna_vust._valid_sets.cache_info().currsize
+    for fan in invalid:
+        for order in range(3):
+            shuffled = _shuffled(rng, fan)
+            clear_memos()
+            expected = reference_validate_colored_fan(shuffled).violations
+            for warm in (False, True):
+                hits = luna_vust._valid_sets.cache_info().hits
+                assert validate_colored_fan(ColoredFan(shuffled.space, shuffled.cones)).violations == expected != []
+                assert luna_vust._valid_sets.cache_info().hits == hits
+    assert luna_vust._valid_sets.cache_info().currsize == 0 < stored
+    # the repeated-member fans once their member set is stored
+    for fan, broken in repeated:
+        assert validate_colored_fan(fan).ok
+        hits = luna_vust._valid_sets.cache_info().hits
+        shuffled = _shuffled(rng, broken)
+        report = validate_colored_fan(shuffled)
+        assert report.violations == reference_validate_colored_fan(shuffled).violations
+        assert "CF2" in report.axioms() and luna_vust._valid_sets.cache_info().hits == hits
+
+
+def test_equal_spaces_listing_other_valuation_generators_share_no_result():
+    """Two equal spaces whose valuation cones, the whole plane, list other
+    generators: each star and decolored fan lists those of its own space."""
+    plane_a = SphericalSpace("plane", 2, Cone(signed_basis(2), 2))
+    plane_b = SphericalSpace("plane", 2, Cone([(1, 0), (0, 1), (-1, -1)], 2))
+    assert plane_a == plane_b and plane_a.valuation_cone.generators != plane_b.valuation_cone.generators
+    members = (cc([]), cc([(1, 0)]), cc([(0, 1)]), cc([(1, 0), (0, 1)]))
+    clear_memos()
+    for space in (plane_a, plane_b, plane_a):
+        fan = ColoredFan(space, members)
+        for member in members[:2]:
+            assert _star_table(star(fan, member)) == _star_table(reference_star(fan, member))
+        assert _fan_table(decolor(fan)[0]) == _fan_table(reference_decolor(fan))
 
 
 # --- member facts against the reference ------------------------------------------
