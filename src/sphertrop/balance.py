@@ -25,6 +25,14 @@ from .lattice import (
 )
 
 
+def _integer(value, what):
+    """``value`` as an int; ValueError when it is not an integer, which ``int`` would truncate."""
+    n = int(value)
+    if n != value:
+        raise ValueError("%s %r is not an integer" % (what, value))
+    return n
+
+
 @dataclass(frozen=True)
 class WeightedRayFan:
     """Primitive rays with positive integer weights plus colored weights.
@@ -39,7 +47,7 @@ class WeightedRayFan:
     colored_weights: tuple = ()
 
     def __post_init__(self):
-        rays = tuple((tuple(v), int(m)) for v, m in self.rays)
+        rays = tuple((tuple(v), _integer(m, "ray weight")) for v, m in self.rays)
         seen = set()
         for v, m in rays:
             if len(v) != self.space.rank:
@@ -54,7 +62,9 @@ class WeightedRayFan:
             if v in seen:
                 raise ValueError("duplicate ray %r" % (v,))
             seen.add(v)
-        colored = tuple((int(j), int(m)) for j, m in self.colored_weights)
+        colored = tuple(
+            (_integer(j, "palette index"), _integer(m, "colored weight")) for j, m in self.colored_weights
+        )
         seen_colors = set()
         for j, m in colored:
             self.space.palette_vector(j)  # raises KeyError when out of range
@@ -82,7 +92,7 @@ def _merged(contributions, what):
     would hide, raises."""
     totals = {}
     for key, m in contributions:
-        m = int(m)
+        m = _integer(m, "multiplicity")
         if m < 0:
             raise ValueError("negative multiplicity %d for %s %r" % (m, what, key))
         totals[key] = totals.get(key, 0) + m
@@ -103,7 +113,7 @@ def assemble(space, ray_contributions, colored=()):
             warnings.warn("ray %r has weight zero and is dropped from the fan" % (v,))
         else:
             rays.append((v, m))
-    colored_weights = _merged(((int(j), m) for j, m in colored), "color")
+    colored_weights = _merged(((_integer(j, "palette index"), m) for j, m in colored), "color")
     return WeightedRayFan(space, tuple(rays), tuple(colored_weights.items()))
 
 

@@ -26,7 +26,8 @@ that compare equal have equal directions) and the dimension; pruning
 a cone's pointedness, rank and faces on its generators and the
 dimension, so each face lattice is built once and its faces keep the
 normals they compute; :meth:`Cone.from_inequalities`, and so
-:meth:`Cone.intersect`, on the normals as given and the dimension;
+:meth:`Cone.intersect`, on the normals as given and the dimension, with
+the pointedness and rank of the cone they cut out;
 :func:`relint_meets` on one cone's generators and the other's normals;
 :func:`relint_common_point` on both cones' generators and the region's
 normals, where a separating normal of either cone decides a disjoint
@@ -531,10 +532,12 @@ class Cone:
         pruning again; no normals give the whole space, whose signed basis
         only needs sorting, with no elimination at all.  Both are memoised
         on the normals as given, so cutting out a cone seen before costs one
-        lookup and normalises nothing.
+        lookup and normalises nothing, and reads off its pointedness and rank.
         """
-        pruned, gens = _cut_out(tuple(map(tuple, normals)), ambient_dim)
-        return cls(gens, ambient_dim, pruned)
+        pruned, gens, shape = _cut_out(tuple(map(tuple, normals)), ambient_dim)
+        cone = cls(gens, ambient_dim, pruned)
+        object.__setattr__(cone, "_shape", shape)
+        return cone
 
     @property
     def inequalities(self):
@@ -639,9 +642,12 @@ def _pointed_rank(gens, dim):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _cut_out(normals, dim):
-    """``(pruned normals, sorted generators)`` of the cone ``normals`` cut out, keyed on the normals as given."""
+    """``(pruned normals, sorted generators, (pointed, rank))`` of the cone ``normals`` cut out,
+    keyed on the normals as given; its lineality space is ``{x : N x = 0}``, so it is pointed
+    exactly when its normals have full rank."""
     pruned = _irredundant(_directions(normals, dim), dim)
-    return pruned, tuple(sorted(dual_description(pruned, dim)))
+    gens = tuple(sorted(dual_description(pruned, dim)))
+    return pruned, gens, (matrix_rank(pruned) == dim, matrix_rank(gens))
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -4,12 +4,13 @@ A colored cone is a pair (cone, set of palette indices); a colored fan is a
 finite collection of colored cones over a fixed spherical space descriptor.
 Validity is checked, never assumed: constructors accept raw data and the
 ``validate_*`` functions return structured reports, so axiom failures can be
-demonstrated as first-class results.
+demonstrated as first-class results.  What the fan layer learns of one member
+set over one space is kept in one shared record, which each validated fan
+object points at.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -106,16 +107,18 @@ class ColoredFan:
     """A finite collection of colored cones over one space.
 
     :func:`validate_colored_fan` stores its violations on the fan object,
-    which is immutable, and reads them back on later calls.  Across objects,
-    only the verdict valid is shared, keyed on the space and the member set:
-    an invalid fan's report lists members by their index, and equal fans
-    whose members contain a line can list different generators, and so get
-    different CF2 witnesses.
+    which is immutable, together with the record of its member set over its
+    space (None when a member repeats), and reads them back on later calls;
+    :func:`star` and :func:`decolor` read the record from there.  Across
+    objects, only the record is shared: the verdict valid and the decolored
+    fan.  An invalid fan's report lists members by their index, and equal
+    fans whose members contain a line can list different generators, and so
+    get different CF2 witnesses.
     """
 
     space: SphericalSpace
     cones: tuple = ()
-    _violations: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _checked: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cones", tuple(self.cones))
@@ -180,17 +183,11 @@ def colored_faces(space, cc):
 
     The colors of a face are exactly the selected colors whose vectors lie
     in the face.  Raises :class:`InvalidColoredConeError` when ``cc`` fails
-    validation; callers holding an already validated cone use
-    :func:`_colored_faces`, which lists the faces without re-validating.
+    validation.
     """
     report = validate_colored_cone(space, cc)
     if not report.ok:
         raise InvalidColoredConeError(report)
-    return _colored_faces(space, cc)
-
-
-def _colored_faces(space, cc):
-    """The colored faces of ``cc``, as a fresh list."""
     return list(_facts(space, cc)[1])
 
 
@@ -198,14 +195,14 @@ def _facts(space, cc):
     """:func:`_member_facts` of ``cc`` over ``space``; unknown indices raise KeyError."""
     colors = tuple(sorted((j, space.palette_vector(j), space.palette[j][0]) for j in cc.colors))
     vc = space.valuation_cone
-    return _member_facts(cc.cone.generators, cc.cone.ambient_dim, colors, vc.generators, vc.ambient_dim)
+    return _member_facts(cc.cone.generators, cc.cone.ambient_dim, colors, vc.inequalities, vc.ambient_dim)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _member_facts(gens, dim, colors, vc_gens, vc_dim):
+def _member_facts(gens, dim, colors, vc_normals, vc_dim):
     """``(problems, faces, supported, face_set)`` of the cone ``gens`` spans,
     colored by ``colors`` (sorted (index, vector, label) triples), over the
-    valuation cone ``vc_gens`` spans: its CC3, CC1, CC2 and SC ``(axiom,
+    valuation cone ``vc_normals`` cut out: its CC3, CC1, CC2 and SC ``(axiom,
     message)`` pairs; its colored faces, in :meth:`Cone.faces` order (a
     color of the wrong length, on which CC1 raises, lies in none); those
     meeting the valuation cone in their relative interior; and their set.
@@ -217,7 +214,7 @@ def _member_facts(gens, dim, colors, vc_gens, vc_dim):
     color vector lies in the cone and every generator lies in the valuation
     cone or on the ray of a nonzero color vector.
     """
-    sigma, valuation = Cone(gens, dim), Cone(vc_gens, vc_dim)
+    sigma, valuation = Cone(gens, dim), Cone.from_inequalities(vc_normals, vc_dim)
     problems = [("CC3", "color %s maps to the zero vector" % c) for _, v, c in colors if is_zero_vector(v)]
     pointed = sigma.is_pointed()
     color_rays = {primitive(v)[0] for _, v, _ in colors if not is_zero_vector(v)}
@@ -238,36 +235,24 @@ def _member_facts(gens, dim, colors, vc_gens, vc_dim):
     return tuple(problems), faces, supported, frozenset(faces)
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+@dataclass(eq=False)
+class _Record:
+    """What the fan layer knows of one member set over one space: whether a
+    fan of it was found valid, and its decolored fan once built.  Records
+    compare by identity, so a memo keyed on one makes no set comparison."""
+
+    space: SphericalSpace
+    members: frozenset
+    valid: bool = False
+    decolored: ColoredFan | None = None
 
 
-class _ValidSets:
-    """The ``(space, member set)`` keys of the fans found valid: at most
-    ``MEMO_SIZE``, oldest out first, counted and cleared as the
-    ``lru_cache`` memos are."""
-
-    def __init__(self):
-        self.cache_clear()
-
-    def __contains__(self, key):
-        found = key in self.keys
-        self.hits += found
-        self.misses += not found
-        return found
-
-    def add(self, key):
-        self.keys[key] = None
-        if len(self.keys) > MEMO_SIZE:
-            del self.keys[next(iter(self.keys))]
-
-    def cache_info(self):
-        return _CacheInfo(self.hits, self.misses, MEMO_SIZE, len(self.keys))
-
-    def cache_clear(self):
-        self.keys, self.hits, self.misses = {}, 0, 0
-
-
-_valid_sets = _ValidSets()
+@lru_cache(maxsize=MEMO_SIZE)
+def _record(space, vc_gens, members):
+    """The one :class:`_Record` of ``members`` over ``space``.  The key holds
+    the valuation cone's generators, which the spaces of a star and of a
+    decolored fan list: equal cones with a line can list different ones."""
+    return _Record(space, members)
 
 
 def validate_colored_fan(fan):
@@ -282,18 +267,25 @@ def validate_colored_fan(fan):
     object is checked once; every call returns a fresh report.
 
     Every axiom is about one member or a pair of members, so validity
-    depends on the space and the member set alone: a fan whose members
-    repeat none and form a set found valid before, over an equal space, is
-    valid with no check.  Any other fan is checked in its member order.
+    depends on the space and the member set alone: a fan whose member set's
+    record is marked valid is valid with no check.  Any other fan is checked
+    in its member order, and marks its record valid only when that check
+    finds nothing.
     """
-    if fan._violations is not None:
-        return ValidationReport(list(fan._violations))
+    if fan._checked is None:
+        object.__setattr__(fan, "_checked", _check(fan))
+    return ValidationReport(list(fan._checked[0]))
+
+
+def _check(fan):
+    """``(violations, record)`` of ``fan``; the record is None when a member repeats."""
     space = fan.space
     members = frozenset(fan.cones)
-    key = (space, members) if len(members) == len(fan.cones) else None
-    if key is not None and key in _valid_sets:
-        object.__setattr__(fan, "_violations", ())
-        return ValidationReport()
+    record = None
+    if len(members) == len(fan.cones):
+        record = _record(space, space.valuation_cone.generators, members)
+        if record.valid:
+            return (), record
     report = ValidationReport()
     for problem in space.invariant_problems():
         report.add(None, "SPACE", problem)
@@ -325,10 +317,9 @@ def validate_colored_fan(fan):
                     % (i, j, ", ".join(map(str, witness))),
                     witness=witness,
                 )
-    if report.ok and key is not None:
-        _valid_sets.add(key)
-    object.__setattr__(fan, "_violations", tuple(report.violations))
-    return report
+    if report.ok:  # a repeated member meets itself (CF2) or fails CC2, so record is set
+        record.valid = True
+    return tuple(report.violations), record
 
 
 def decolor(fan):
@@ -337,33 +328,23 @@ def decolor(fan):
     The result is closed under faces and toroidal: it collects every face
     of every clipped cone, the clipped cone included, once each (by one
     hash lookup).  It is re-validated and the report returned alongside
-    the fan.  The fan is memoised by :func:`_decolored`.
+    the fan.  The fan is kept on the record of the member set: members of a
+    valid fan are pointed, and so are their clipped cones and the faces of
+    those; equal faces then have equal generators, and the sorted fan does
+    not depend on the member order.
     """
     base = validate_colored_fan(fan)
     if not base.ok:
         raise InvalidColoredConeError(base)
-    space = fan.space
-    out = _decolored(space, space.valuation_cone.generators, frozenset(fan.cones))
-    return out, validate_colored_fan(out)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _decolored(space, vc_gens, members):
-    """The decolored fan of the valid fan of ``members`` over ``space``.
-
-    Members of a valid fan are pointed, and so are their clipped cones and
-    the faces of those; equal faces then have equal generators, and the
-    fan does not depend on the member order.  The key holds the valuation
-    cone's generators, which the output's space lists: equal cones with a
-    line can list different ones.
-    """
-    collected = dict.fromkeys(
-        face
-        for cc in sorted(members, key=ColoredCone.sort_key)
-        for face in cc.cone.intersect(space.valuation_cone).faces()
-    )
-    faces = sorted(collected, key=Cone.sort_key)
-    return ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in faces))
+    record = fan._checked[1]
+    if record.decolored is None:
+        space = record.space
+        collected = dict.fromkeys(
+            face for cc in record.members for face in cc.cone.intersect(space.valuation_cone).faces()
+        )
+        faces = sorted(collected, key=Cone.sort_key)
+        record.decolored = ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in faces))
+    return record.decolored, validate_colored_fan(record.decolored)
 
 
 @dataclass(frozen=True)
@@ -391,9 +372,8 @@ def star(fan, cc, restriction_colors=None):
     base = validate_colored_fan(fan)
     if not base.ok:
         raise InvalidColoredConeError(base)
-    space = fan.space
-    members = frozenset(fan.cones)
-    if cc not in members:
+    record = fan._checked[1]
+    if cc not in record.members:
         raise ValueError("the given colored cone is not a member of the fan")
     if cc.colors and restriction_colors is None:
         raise ValueError(
@@ -401,20 +381,20 @@ def star(fan, cc, restriction_colors=None):
         )
     survivors = frozenset(restriction_colors or ())
     for j in survivors:
-        space.palette_vector(j)  # raises KeyError when unknown
-    return _star(space, space.valuation_cone.generators, members, cc, survivors)
+        fan.space.palette_vector(j)  # raises KeyError when unknown
+    return _star(record, cc, survivors)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _star(space, vc_gens, members, cc, survivors):
-    """The :class:`StarResult` of the member ``cc`` of the valid fan of
-    ``members`` over ``space``, keeping the palette indices ``survivors``.
+def _star(record, cc, survivors):
+    """The :class:`StarResult` of the member ``cc`` of the valid fan with
+    ``record``, keeping the palette indices ``survivors``.
 
     Members of a valid fan are pointed, and so is the image of each member
     having ``cc`` as a face; equal images then have equal generators, and
-    the result does not depend on the member order.  The key holds the
-    valuation cone's generators, which the quotient space's are read from.
+    the sorted result does not depend on the member order.
     """
+    space = record.space
     vs = list(cc.cone.generators)
     projection = tuple(quotient_projection(vs, space.rank))
     kernel = tuple(saturation_basis(vs, space.rank))
@@ -440,7 +420,7 @@ def _star(space, vc_gens, members, cc, survivors):
     )
 
     images = {}
-    for member in sorted(members, key=ColoredCone.sort_key):
+    for member in record.members:
         if cc in _facts(space, member)[3]:
             image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
             image_colors = frozenset(index_map[j] for j in member.colors & survivors)

@@ -311,14 +311,8 @@ def cc1_by_construction(space, cc):
 
 
 def memos():
-    """Every memo of ``lattice`` and ``luna_vust``: each ``lru_cache`` and
-    ``luna_vust``'s store of the member sets found valid."""
-    return [
-        f
-        for module in (lattice, luna_vust)
-        for f in vars(module).values()
-        if hasattr(f, "cache_info") and not isinstance(f, type)
-    ]
+    """Every memo of ``lattice`` and ``luna_vust``: each ``lru_cache``."""
+    return [f for module in (lattice, luna_vust) for f in vars(module).values() if hasattr(f, "cache_info")]
 
 
 def clear_memos():

@@ -1,6 +1,7 @@
 import random
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,28 @@ def test_assemble_rejects_negative_colored_contribution():
     assert assemble(GL2, rays, [(0, 0), (0, 1)]).colored_weights == ((0, 1),)
     with pytest.raises(ValueError, match="negative multiplicity -2 for color 0"):
         assemble(GL2, rays, [(0, 3), (0, -2)])
+
+
+def test_non_integer_weights_and_indices_are_rejected_not_truncated():
+    """``int`` would truncate: 3/2 against -1 would read as balanced, 1.9 as 1."""
+    torus1 = builtin_space("torus", 1)
+    for weight in (Fraction(3, 2), 1.9):
+        with pytest.raises(ValueError, match="not an integer"):
+            assemble(torus1, [((1,), weight), ((-1,), 1)])
+        with pytest.raises(ValueError, match="not an integer"):
+            WeightedRayFan(torus1, (((1,), weight),), ())
+        with pytest.raises(ValueError, match="not an integer"):
+            assemble(GL2, [((1, 0), 2), ((-1, -1), 1)], [(0, weight)])
+        with pytest.raises(ValueError, match="not an integer"):
+            WeightedRayFan(GL2, (), ((0, weight),))
+        with pytest.raises(ValueError, match="not an integer"):
+            assemble(GL2, [], [(weight - 1, 1)])
+        with pytest.raises(ValueError, match="not an integer"):
+            WeightedRayFan(GL2, (), ((weight - 1, 1),))
+    # an integer held as a Fraction or a float is that integer
+    wf = assemble(torus1, [((1,), Fraction(4, 2)), ((-1,), 2.0)])
+    assert wf.rays == (((-1,), 2), ((1,), 2)) and check_balancing(wf).balanced
+    assert all(type(m) is int for _, m in wf.rays)
 
 
 def test_weighted_fan_invariants():

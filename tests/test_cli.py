@@ -10,11 +10,12 @@ import time
 
 import pytest
 
-from sphertrop import catalog, documents
+from sphertrop import catalog, documents, lattice
 from sphertrop.catalog import fixture_doc, sl2u_family, space_by_id
 from sphertrop.cli import main
 
 from fuzz import mutate
+from helpers import clear_memos
 
 
 @pytest.fixture
@@ -648,6 +649,50 @@ def test_result_over_digit_limit_names_the_limit(capsys, tmp_path):
     code, out, err = run(capsys, *_weighted_fan_file(tmp_path, json.dumps(doc)))
     limit = sys.get_int_max_str_digits()
     assert (code, out, err) == (2, "", "error: number has more than %d digits\n" % limit)
+
+
+# Every catalog space of size 1 to 12
+CATALOG_SWEEP = ["torus%d" % n for n in range(1, 13)] + ["gln%d" % n for n in range(1, 13)] + ["sl2u"]
+CATALOG_SWEEP_SECONDS = 3.0  # budget for the whole sweep from cold memos; about 0.2 s on a 2-vCPU VM
+
+
+def test_fan_commands_on_every_catalog_space_convert_no_valuation_cone(capsys, tmp_path, monkeypatch):
+    """``fan validate``, ``fan star --cone-index 1`` and ``fan decolor`` on
+    the zero cone plus one ray inside the valuation cone, over every space
+    of the sweep, within one budget.  A catalog valuation cone is cut out by
+    its normals, which decide membership, and its pointedness and rank are
+    read off them; so the dual description (``lattice._dual``, behind
+    ``dual_description``) never receives its generators, which for gln n
+    span a cone with a line whose conversion is unbounded.  A valuation
+    cone that is the whole space is left out of the watch: its generators,
+    the signed basis, are also the normals that cut out the zero cone."""
+    clear_memos()
+    catalog_gens = set()
+    dual = lattice._dual
+
+    def watched(vecs, dim):
+        assert (vecs, dim) not in catalog_gens, "dual description of a catalog valuation cone's generators"
+        return dual(vecs, dim)
+
+    monkeypatch.setattr(lattice, "_dual", watched)
+    path = tmp_path / "fan.json"
+    started = time.perf_counter()
+    for ident in CATALOG_SWEEP:
+        space = space_by_id(ident)
+        if space.valuation_cone.inequalities:
+            catalog_gens.add((space.valuation_cone.generators, space.rank))
+        ray = ["1"] + ["0"] * (space.rank - 1)
+        cones = [{"generators": []}, {"generators": [ray]}]
+        path.write_text(json.dumps({"format": "fan/1", "space": {"builtin": ident}, "cones": cones}))
+        code, out, err = run(capsys, "fan", "validate", str(path))
+        assert (code, err, json.loads(out)["valid"]) == (0, "", True), ident
+        code, out, err = run(capsys, "fan", "star", str(path), "--cone-index", "1")
+        assert (code, err) == (0, ""), ident
+        assert len(json.loads(out)["projection"]) == space.rank - 1, ident
+        code, out, err = run(capsys, "fan", "decolor", str(path))
+        assert (code, err, len(json.loads(out)["cones"])) == (0, "", 2), ident
+    elapsed = time.perf_counter() - started
+    assert elapsed < CATALOG_SWEEP_SECONDS, elapsed
 
 
 # --- mutated fixture documents ---------------------------------------------------

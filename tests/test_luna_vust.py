@@ -195,19 +195,18 @@ def test_colored_faces_match_the_face_by_face_reference():
     colored = 0
     for space, member in cases:
         expected = _face_table(reference_colored_faces(space, member))
-        assert _face_table(luna_vust._colored_faces(space, member)) == expected
-        assert _face_table(luna_vust._colored_faces(space, member)) == expected
+        assert _face_table(luna_vust._facts(space, member)[1]) == expected
+        assert _face_table(luna_vust._facts(space, member)[1]) == expected
         colored += any(colors for _, colors in expected)
     assert colored > 20
 
 
 def test_colored_faces_returns_a_fresh_list():
     member = cc([(-1, 1), (1, 0)], {E})
-    first = luna_vust._colored_faces(GL2, member)
+    first = colored_faces(GL2, member)
     expected = list(first)
     first.pop()
     first.append(cc([(5, 1)]))
-    assert luna_vust._colored_faces(GL2, member) == expected
     assert colored_faces(GL2, member) == expected
 
 
@@ -474,11 +473,11 @@ def test_a_repeated_fan_document_decides_no_cone_fact_again(monkeypatch):
     validated, starred and decolored from the memos alone: its space's
     valuation cone is looked up before its normals are normalised, each
     cone before its generators are, each member's facts are read from their
-    memo, and the copy's member set is known valid, with its star and its
-    decolored fan; so no memo body runs, no vector is normalised
-    (``_directions``) and no rank is computed."""
+    memo, and the copy's member set has a record marked valid, which holds
+    its decolored fan and keys its star; so no memo body runs, no vector is
+    normalised (``_directions``) and no rank is computed."""
     watched = (lattice._generators, lattice._cut_out, lattice._pointed_rank, luna_vust._member_facts)
-    fan_level = (luna_vust._valid_sets, luna_vust._star, luna_vust._decolored)
+    fan_level = (luna_vust._record, luna_vust._star)
 
     def run(fan):
         assert validate_colored_fan(fan).ok
@@ -496,6 +495,27 @@ def test_a_repeated_fan_document_decides_no_cone_fact_again(monkeypatch):
     assert [info.misses for info in after] == [info.misses for info in before]
     assert all(a.hits > b.hits for a, b in zip(after[len(watched) :], before[len(watched) :]))
     assert calls == []
+
+
+def test_star_and_decolor_read_the_record_from_the_fan():
+    """Once a fan object is validated, star and decolor read its member
+    set's record from the fan and look no member set up; cold, decolor
+    looks up the set of the fan it builds once, to validate it."""
+    clear_memos()
+
+    def lookups():
+        info = luna_vust._record.cache_info()
+        return info.hits + info.misses
+
+    for expected in (1, 0):  # cold, then a fresh equal fan
+        fan = fig1_fan()
+        assert validate_colored_fan(fan).ok
+        before = lookups()
+        for member in fan.cones:
+            star(fan, member, set() if member.colors else None)
+        decolor(fan)
+        decolor(fan)
+        assert lookups() == before + expected
 
 
 # --- fan results against the reference, in every member order -----------------
@@ -555,7 +575,8 @@ def _shuffled(rng, fan):
 def test_fan_results_match_the_reference_in_every_member_order():
     """Validation, star and decolor of valid fans, in shuffled member orders,
     cold and warm, equal the member-order references; so does the report of
-    every invalid fan, which is never answered from the valid member sets."""
+    every invalid fan, which marks no record valid, and a fan with a
+    repeated member looks no record up."""
     rng = random.Random(54)
     invalid, repeated = [], []
     for fan in _valid_fans():
@@ -570,7 +591,7 @@ def test_fan_results_match_the_reference_in_every_member_order():
         for order in range(3):
             clear_memos()
             for copy in (_shuffled(rng, fan), _shuffled(rng, fan)):  # cold, then warm in another order
-                assert validate_colored_fan(copy).violations == []
+                assert validate_colored_fan(copy).violations == [] and copy._checked[1].valid
                 for member, survivors, expected in stars:
                     assert _star_table(star(copy, member, survivors)) == expected
                 out, report = decolor(copy)
@@ -580,25 +601,24 @@ def test_fan_results_match_the_reference_in_every_member_order():
         repeated.append((fan, ColoredFan(fan.space, fan.cones + (rng.choice(fan.cones[1:]),))))
     invalid += [fan for _, fan in repeated]
     assert {fan.space.rank for fan in invalid} == {2, 3, 4}
-    stored = luna_vust._valid_sets.cache_info().currsize
     for fan in invalid:
         for order in range(3):
             shuffled = _shuffled(rng, fan)
             clear_memos()
             expected = reference_validate_colored_fan(shuffled).violations
             for warm in (False, True):
-                hits = luna_vust._valid_sets.cache_info().hits
-                assert validate_colored_fan(ColoredFan(shuffled.space, shuffled.cones)).violations == expected != []
-                assert luna_vust._valid_sets.cache_info().hits == hits
-    assert luna_vust._valid_sets.cache_info().currsize == 0 < stored
-    # the repeated-member fans once their member set is stored
+                copy = ColoredFan(shuffled.space, shuffled.cones)
+                assert validate_colored_fan(copy).violations == expected != []
+                assert copy._checked[1] is None or not copy._checked[1].valid
+    # the repeated-member fans once their member set is marked valid
     for fan, broken in repeated:
         assert validate_colored_fan(fan).ok
-        hits = luna_vust._valid_sets.cache_info().hits
+        lookups = luna_vust._record.cache_info()
         shuffled = _shuffled(rng, broken)
         report = validate_colored_fan(shuffled)
         assert report.violations == reference_validate_colored_fan(shuffled).violations
-        assert "CF2" in report.axioms() and luna_vust._valid_sets.cache_info().hits == hits
+        assert "CF2" in report.axioms() and shuffled._checked[1] is None
+        assert luna_vust._record.cache_info() == lookups
 
 
 def test_equal_spaces_listing_other_valuation_generators_share_no_result():
@@ -689,7 +709,7 @@ def test_member_facts_raise_and_report_as_the_reference():
             with pytest.raises(KeyError):
                 validate_colored_cone(GL2, member)
             with pytest.raises(KeyError):
-                luna_vust._colored_faces(GL2, member)
+                colored_faces(GL2, member)
             with pytest.raises(KeyError):
                 reference_validate_colored_cone(GL2, member)
     # a cone of the wrong dimension is reported before any color is read
