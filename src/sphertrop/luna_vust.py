@@ -171,11 +171,7 @@ def validate_colored_cone(space, cc, member=None):
     the valuation cone.  CC3: no selected color vector is zero.  SC: the
     cone contains no line.  Unknown palette indices raise KeyError.
     """
-    if cc.cone.ambient_dim != space.rank:
-        problems = [("SPACE", "cone dimension %d != rank %d" % (cc.cone.ambient_dim, space.rank))]
-    else:
-        problems = _facts(space, cc)[0]
-    return ValidationReport([Violation(member, axiom, message) for axiom, message in problems])
+    return ValidationReport([Violation(member, *problem) for problem in _facts(space, cc)[0]])
 
 
 def colored_faces(space, cc):
@@ -185,14 +181,18 @@ def colored_faces(space, cc):
     in the face.  Raises :class:`InvalidColoredConeError` when ``cc`` fails
     validation.
     """
-    report = validate_colored_cone(space, cc)
-    if not report.ok:
-        raise InvalidColoredConeError(report)
-    return list(_facts(space, cc)[1])
+    problems, faces, _, _ = _facts(space, cc)
+    if problems:
+        raise InvalidColoredConeError(ValidationReport([Violation(None, *p) for p in problems]))
+    return list(faces)
 
 
 def _facts(space, cc):
-    """:func:`_member_facts` of ``cc`` over ``space``; unknown indices raise KeyError."""
+    """:func:`_member_facts` of ``cc`` over ``space``; a cone in another dimension
+    has the SPACE problem alone, found before any color is read (unknown ones raise KeyError)."""
+    if cc.cone.ambient_dim != space.rank:
+        mismatch = ("SPACE", "cone dimension %d != rank %d" % (cc.cone.ambient_dim, space.rank))
+        return (mismatch,), (), (), frozenset()
     colors = tuple(sorted((j, space.palette_vector(j), space.palette[j][0]) for j in cc.colors))
     vc = space.valuation_cone
     return _member_facts(cc.cone.generators, cc.cone.ambient_dim, colors, vc.inequalities, vc.ambient_dim)
@@ -292,9 +292,9 @@ def _check(fan):
 
     missing = ValidationReport()
     for i, cc in enumerate(fan.cones):
-        sub = validate_colored_cone(space, cc, member=i)
-        report.extend(sub)
-        for face in _facts(space, cc)[2] if sub.ok else ():
+        problems, _, supported, _ = _facts(space, cc)
+        report.violations += (Violation(i, *problem) for problem in problems)
+        for face in () if problems else supported:
             if face not in members:
                 missing.add(
                     i,

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 from sphertrop import catalog, documents, lattice
 from sphertrop.catalog import fixture_doc, sl2u_family, space_by_id
-from sphertrop.cli import main
+from sphertrop.cli import build_parser, main
 
 from fuzz import mutate
 from helpers import clear_memos
@@ -104,10 +105,8 @@ def test_trop_vector_forms(capsys, text, coords):
 
 
 def test_trop_takes_its_space_only_as_the_positional_id(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["trop", "--space", "gln2", "[[t+1,t],[t,0]]"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --space" in capsys.readouterr().err
+    code, out, err = run(capsys, "trop", "--space", "gln2", "[[t+1,t],[t,0]]")
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --space\n")
 
 
 def test_trop_sl2u(capsys):
@@ -1050,3 +1049,98 @@ def test_json_flag_compact_output(capsys):
     assert code == 0
     assert out.count("\n") == 1
     assert json.loads(out)["format"] == "catalog/1"
+
+
+def _leaf_commands(parser, path=()):
+    """``(path, parser)`` of every command under ``parser`` that has no subcommands."""
+    groups = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser
+    for choices in groups:
+        for name, child in choices.items():
+            yield from _leaf_commands(child, path + (name,))
+
+
+TROP_OPERANDS = {"space": "gln2", "coordinates": "[[t,1],[1,t]]"}
+
+
+def _operand(tmp, action):
+    """A value for the positional ``action``: its first choice, a trop
+    operand, or a fixture document of a format its help names, written to a
+    file."""
+    if action.choices:
+        return next(iter(action.choices))
+    if action.dest in TROP_OPERANDS:
+        return TROP_OPERANDS[action.dest]
+    formats = re.findall(r"[\w-]+/1", action.help)
+    name = next(n for n in catalog.FIXTURE_FILES if catalog.fixture_doc(n)["format"] in formats)
+    path = tmp / (name + ".json")
+    path.write_text(json.dumps(catalog.fixture_doc(name)))
+    return str(path)
+
+
+def test_every_command_takes_its_flags_before_between_or_after_its_operands(capsys, tmp_path):
+    """Each flag of each command with operands, put before, between and
+    after the operands (its other flags after them), gives one exit code,
+    one stdout and one output file."""
+    covered = []
+    values = {"--out": str(tmp_path / "out"), "--cone-index": "1", "--colors": ""}
+    for path, parser in _leaf_commands(build_parser()):
+        operands = [_operand(tmp_path, a) for a in parser._get_positional_actions()]
+        if not operands:
+            continue
+        flags = {}
+        for action in parser._get_optional_actions():
+            option = action.option_strings[-1]
+            if option not in ("--help", "--fixture"):
+                flags[option] = [option] + ([] if action.nargs == 0 else [values[option]])
+        for option, tokens in flags.items():
+            rest = [t for other, ts in flags.items() if other != option for t in ts]
+            results = set()
+            for k in range(len(operands) + 1):
+                (tmp_path / "out").unlink(missing_ok=True)
+                argv = [*path, *operands[:k], *tokens, *operands[k:], *rest]
+                code, out, err = run(capsys, *argv)
+                assert (code, err) == (0, ""), argv
+                results.add((out, (tmp_path / "out").read_text()))
+            assert len(results) == 1, (path, option)
+            covered.append((path, option))
+    assert {path for path, _ in covered} >= {
+        ("trop",), ("fan", "validate"), ("fan", "star"), ("fan", "decolor"),
+        ("balance", "check"), ("balance", "solve-colors"), ("catalog",), ("plot",),
+    }
+    assert {option for _, option in covered} == {"--json", "--out", "--cone-index", "--colors"}
+
+
+def test_star_options_belong_to_star(capsys):
+    for action in ("validate", "decolor"):
+        for flag in (["--cone-index", "0"], ["--colors", "E2"]):
+            code, out, err = run(capsys, "fan", action, "--fixture", "gl2_fig1_fan", *flag)
+            assert (code, out) == (2, "") and err.startswith("error: unrecognized arguments: %s" % flag[0])
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        ([], "the following arguments are required: command"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+        (["fan"], "the following arguments are required: action"),
+        (["fan", "frob"], "argument action: invalid choice: 'frob'"),
+        (["balance", "frob", "--json"], "argument action: invalid choice: 'frob'"),
+        (["fan", "star", "--cone-index", "x"], "argument --cone-index: invalid int value: 'x'"),
+        (["catalog", "list", "--bogus"], "unrecognized arguments: --bogus"),
+        (["plot", "--fixture", "gl2_fig1_fan"], "the following arguments are required: --out"),
+    ],
+)
+def test_parser_errors_are_one_error_line(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + text) and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["fan", "--help"], ["fan", "star", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: sphertrop" in capsys.readouterr().out

@@ -379,33 +379,45 @@ def test_fan_membership_is_colored_cone_equality():
     assert hash(cc([(-2, -2), (-1, -1)])) == hash(fan.cones[i]) and hash(fan) == hash(fig1_fan())
 
 
-def _counting_member_checks(monkeypatch):
-    """The colored cones ``validate_colored_cone`` is called on, from now on."""
-    seen = []
+def _counting_member_lookups(monkeypatch):
+    """The colored cones whose member facts the fan check looks up, from now
+    on (lookups made outside the check, as by a cold star, are not counted)."""
+    seen, checking = [], []
+    facts, check = luna_vust._facts, luna_vust._check
 
-    def counting(space, colored_cone, member=None):
-        seen.append(colored_cone)
-        return validate_colored_cone(space, colored_cone, member)
+    def counting_facts(space, colored_cone):
+        if checking:
+            seen.append(colored_cone)
+        return facts(space, colored_cone)
 
-    monkeypatch.setattr(luna_vust, "validate_colored_cone", counting)
+    def counting_check(fan):
+        checking.append(fan)
+        try:
+            return check(fan)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(luna_vust, "_facts", counting_facts)
+    monkeypatch.setattr(luna_vust, "_check", counting_check)
     return seen
 
 
 def test_members_are_validated_once(monkeypatch):
     clear_memos()
     fan = fig1_fan()
-    seen = _counting_member_checks(monkeypatch)
+    seen = _counting_member_lookups(monkeypatch)
     assert validate_colored_fan(fan).ok
-    assert seen == list(fan.cones)
+    assert seen == list(fan.cones)  # one lookup per member, in member order
     seen.clear()
-    # the fan object keeps its result: star validates no member again, and
-    # decolor validates no member of its output, whose member set (that of
-    # the toroidal input) is known valid
+    # the fan object keeps its result: star's validation looks up no member
+    # again, and decolor's looks up no member of its output, whose member set
+    # (that of the toroidal input) is known valid
     star(fan, member_with_gens(fan, ((-1, -1),)))
     out, report = decolor(fan)
     assert report.ok and set(out.cones) == set(fan.cones) and out is not fan
     assert seen == []
-    # an equal fresh fan in another member order validates no member
+    # an equal fresh fan in another member order hits the valid record and
+    # looks up no member
     fresh = ColoredFan(fan.space, fan.cones[::-1])
     report = validate_colored_fan(fresh)
     assert report.ok and seen == []
@@ -414,7 +426,8 @@ def test_members_are_validated_once(monkeypatch):
     assert validate_colored_fan(fresh).violations == []
     assert validate_colored_fan(ColoredFan(fan.space, fan.cones[2:] + fan.cones[:2])).violations == []
     assert seen == []
-    # a fan with one extra member is another member set: validated in full
+    # a fan with one extra member is another member set: checked in full,
+    # one lookup per member
     extra = ColoredFan(fan.space, fan.cones + (cc([(2, 1)]),))
     assert validate_colored_fan(extra).axioms() == {"CF2"}
     assert seen == list(extra.cones)
@@ -456,15 +469,15 @@ def test_orthant_fan_pairs_need_no_elimination(monkeypatch):
 
 
 def test_decolor_of_the_rank4_orthant_fan_validates_each_member_once_cold(monkeypatch):
-    """Cold, validating and decoloring the rank-4 orthant fan checks each of
-    its 81 members once: the decolored fan has the input's member set,
-    which is then known valid."""
+    """Cold, validating and decoloring the rank-4 orthant fan looks up the
+    facts of each of its 81 members once: the decolored fan has the input's
+    member set, which is then known valid."""
     clear_memos()
     fan = orthant_fan(4)
-    seen = _counting_member_checks(monkeypatch)
+    seen = _counting_member_lookups(monkeypatch)
     assert validate_colored_fan(fan).ok
     out, report = decolor(fan)
-    assert report.ok and len(seen) == 81
+    assert report.ok and seen == list(fan.cones)
     assert _fan_table(out) == _fan_table(reference_decolor(fan))
 
 
