@@ -18,16 +18,15 @@ build none.
 :func:`dual_description` only projects.  Redundant normals and redundant
 generators are both dropped by the same implication test, :func:`_implied`.
 
-The eight pure exact computations are memoised in bounded LRU caches of
+The seven pure exact computations are memoised in bounded LRU caches of
 ``MEMO_SIZE`` entries each, keyed on immutable data: a new cone's stored
 generators, and :func:`dual_description`, on the vectors as given (tuples
 that compare equal have equal directions) and the dimension; pruning
 (:func:`_irredundant`) on the sorted distinct vectors and the dimension;
-a cone's pointedness, rank and faces on its generators and the
-dimension, so each face lattice is built once and its faces keep the
-normals they compute; :meth:`Cone.from_inequalities`, and so
-:meth:`Cone.intersect`, on the normals as given and the dimension, with
-the pointedness and rank of the cone they cut out;
+a cone's pointedness and rank on its generators and the dimension;
+:meth:`Cone.from_inequalities`, and so :meth:`Cone.intersect`, on the
+normals as given and the dimension, with the pointedness and rank of the
+cone they cut out;
 :func:`relint_meets` on one cone's generators and the other's normals;
 :func:`relint_common_point` on both cones' generators and the region's
 normals, where a separating normal of either cone decides a disjoint
@@ -592,11 +591,16 @@ class Cone:
         tight part on one normal at a time (Kaibel and Pfetsch, Comput.
         Geom. 23, 2002), in O(faces x facets) set intersections.  The
         normals are those :func:`dual_description` gives the generators, so
-        the list, sorted by :meth:`sort_key`, depends on the generators alone
-        and is memoised on them and the dimension: each face lattice is
-        computed once, and each call returns a fresh list.
+        the list, sorted by :meth:`sort_key`, depends on the generators alone.
+        Each call computes a fresh list: the fan layer memoises each member's
+        colored faces, and decolor lists faces only of clipped colored members.
         """
-        return list(_faces(self.generators, self.ambient_dim))
+        gens, dim = self.generators, self.ambient_dim
+        tight = dict.fromkeys((gens,))
+        for n in _dual(gens, dim):
+            for s in list(tight):
+                tight.setdefault(tuple(g for g in s if dot(n, g) == 0))
+        return sorted((Cone(s, dim) for s in tight), key=Cone.sort_key)
 
     def sort_key(self):
         return (self.dim(), self.generators)
@@ -648,15 +652,6 @@ def _cut_out(normals, dim):
     pruned = _irredundant(_directions(normals, dim), dim)
     gens = tuple(sorted(dual_description(pruned, dim)))
     return pruned, gens, (matrix_rank(pruned) == dim, matrix_rank(gens))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _faces(gens, dim):
-    tight = dict.fromkeys((gens,))
-    for n in _dual(gens, dim):
-        for s in list(tight):
-            tight.setdefault(tuple(g for g in s if dot(n, g) == 0))
-    return tuple(sorted((Cone(s, dim) for s in tight), key=Cone.sort_key))
 
 
 def relint_meets(cone_a, cone_b):

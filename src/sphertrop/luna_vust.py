@@ -181,7 +181,7 @@ def colored_faces(space, cc):
     in the face.  Raises :class:`InvalidColoredConeError` when ``cc`` fails
     validation.
     """
-    problems, faces, _, _ = _facts(space, cc)
+    problems, faces = _facts(space, cc)
     if problems:
         raise InvalidColoredConeError(ValidationReport([Violation(None, *p) for p in problems]))
     return list(faces)
@@ -192,7 +192,7 @@ def _facts(space, cc):
     has the SPACE problem alone, found before any color is read (unknown ones raise KeyError)."""
     if cc.cone.ambient_dim != space.rank:
         mismatch = ("SPACE", "cone dimension %d != rank %d" % (cc.cone.ambient_dim, space.rank))
-        return (mismatch,), (), (), frozenset()
+        return (mismatch,), ()
     colors = tuple(sorted((j, space.palette_vector(j), space.palette[j][0]) for j in cc.colors))
     vc = space.valuation_cone
     return _member_facts(cc.cone.generators, cc.cone.ambient_dim, colors, vc.inequalities, vc.ambient_dim)
@@ -200,12 +200,11 @@ def _facts(space, cc):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _member_facts(gens, dim, colors, vc_normals, vc_dim):
-    """``(problems, faces, supported, face_set)`` of the cone ``gens`` spans,
-    colored by ``colors`` (sorted (index, vector, label) triples), over the
-    valuation cone ``vc_normals`` cut out: its CC3, CC1, CC2 and SC ``(axiom,
-    message)`` pairs; its colored faces, in :meth:`Cone.faces` order (a
-    color of the wrong length, on which CC1 raises, lies in none); those
-    meeting the valuation cone in their relative interior; and their set.
+    """``(problems, faces)`` of the cone ``gens`` spans, colored by ``colors``
+    (sorted (index, vector, label) triples), over the valuation cone
+    ``vc_normals`` cut out: its CC3, CC1, CC2 and SC ``(axiom, message)``
+    pairs, and its colored faces, in :meth:`Cone.faces` order (a color of
+    the wrong length, on which CC1 raises, lies in none).
 
     CC1 is decided without building a cone, and only on a strictly convex
     cone (a cone with a line is reported SC alone).  There each generator
@@ -231,11 +230,10 @@ def _member_facts(gens, dim, colors, vc_normals, vc_dim):
         ColoredCone(face, frozenset(j for j, v, _ in colors if len(v) == dim and face.contains(v)))
         for face in sigma.faces()
     )
-    supported = tuple(f for f in faces if relint_meets(f.cone, valuation))
-    return tuple(problems), faces, supported, frozenset(faces)
+    return tuple(problems), faces
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Record:
     """What the fan layer knows of one member set over one space: whether a
     fan of it was found valid, and its decolored fan once built.  Records
@@ -261,7 +259,8 @@ def validate_colored_fan(fan):
     CF1: every supported colored face of a member is a member, where
     supported means the face's relative interior meets the valuation cone
     (an unsupported face is not a colored cone at all, so requiring it
-    would outlaw every fan with colors off the valuation cone).  CF2:
+    would outlaw every fan with colors off the valuation cone); support is
+    decided only for a face the fan lacks.  CF2:
     inside the valuation cone, relative interiors of distinct members are
     disjoint; violations carry an exact rational witness point.  Each fan
     object is checked once; every call returns a fresh report.
@@ -292,10 +291,10 @@ def _check(fan):
 
     missing = ValidationReport()
     for i, cc in enumerate(fan.cones):
-        problems, _, supported, _ = _facts(space, cc)
+        problems, faces = _facts(space, cc)
         report.violations += (Violation(i, *problem) for problem in problems)
-        for face in () if problems else supported:
-            if face not in members:
+        for face in () if problems else faces:
+            if face not in members and relint_meets(face.cone, space.valuation_cone):
                 missing.add(
                     i,
                     "CF1",
@@ -326,12 +325,15 @@ def decolor(fan):
     """Strip colors and intersect every cone with the valuation cone.
 
     The result is closed under faces and toroidal: it collects every face
-    of every clipped cone, the clipped cone included, once each (by one
-    hash lookup).  It is re-validated and the report returned alongside
-    the fan.  The fan is kept on the record of the member set: members of a
-    valid fan are pointed, and so are their clipped cones and the faces of
-    those; equal faces then have equal generators, and the sorted fan does
-    not depend on the member order.
+    of every clipped colored member, the clipped cone included, and every
+    uncolored member's cone as it is, once each (by one hash lookup).  In a
+    valid fan an uncolored member lies in the valuation cone (CC1), so it
+    is its own clipped cone, and its faces are uncolored members (CF1).  It
+    is re-validated and the report returned alongside the fan.  The fan is
+    kept on the record of the member set: members of a valid fan are
+    pointed, and so are their clipped cones and the faces of those; equal
+    faces then have equal generators, and the sorted fan does not depend on
+    the member order.
     """
     base = validate_colored_fan(fan)
     if not base.ok:
@@ -340,7 +342,9 @@ def decolor(fan):
     if record.decolored is None:
         space = record.space
         collected = dict.fromkeys(
-            face for cc in record.members for face in cc.cone.intersect(space.valuation_cone).faces()
+            face
+            for cc in record.members
+            for face in (cc.cone.intersect(space.valuation_cone).faces() if cc.colors else (cc.cone,))
         )
         faces = sorted(collected, key=Cone.sort_key)
         record.decolored = ColoredFan(space, tuple(ColoredCone(c, frozenset()) for c in faces))
@@ -421,7 +425,7 @@ def _star(record, cc, survivors):
 
     images = {}
     for member in record.members:
-        if cc in _facts(space, member)[3]:
+        if cc in _facts(space, member)[1]:
             image_cone = Cone([mat_vec(projection, g) for g in member.cone.generators], m)
             image_colors = frozenset(index_map[j] for j in member.colors & survivors)
             images.setdefault(ColoredCone(image_cone, image_colors))

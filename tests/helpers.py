@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 from sphertrop import lattice, luna_vust
+from sphertrop.catalog import builtin_space
 from sphertrop.documents import DocumentError
 from sphertrop.lattice import (
     Cone,
@@ -17,6 +18,8 @@ from sphertrop.lattice import (
     relint_common_point,
     relint_meets,
     saturation_basis,
+    signed_basis,
+    vec_scale,
 )
 from sphertrop.luna_vust import ColoredCone, ColoredFan, SphericalSpace, StarResult, ValidationReport
 from sphertrop.puiseux import INF, PuiseuxParseError, PuiseuxPoly, _from_ratios, determinant, divexact
@@ -319,6 +322,17 @@ def clear_memos():
     """Empty every memo of ``lattice`` and ``luna_vust``, as in a fresh process."""
     for memo in memos():
         memo.cache_clear()
+
+
+def orthant_fan(n, columns=None):
+    """The 3^n cones of the coordinate orthant fan of torus n, with the
+    unit vectors replaced by ``columns`` when given."""
+    columns = columns or signed_basis(n)[::2]
+    members = []
+    for signs in itertools.product((-1, 0, 1), repeat=n):
+        gens = [vec_scale(s, columns[i]) for i, s in enumerate(signs) if s]
+        members.append(ColoredCone(Cone(gens, n)))
+    return ColoredFan(builtin_space("torus", n), tuple(members))
 
 
 def reference_validate_colored_cone(space, cc, member=None):

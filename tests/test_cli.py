@@ -694,6 +694,24 @@ def test_fan_commands_on_every_catalog_space_convert_no_valuation_cone(capsys, t
     assert elapsed < CATALOG_SWEEP_SECONDS, elapsed
 
 
+GLN40_SECONDS = 2.0  # budget for building gln40 from cold memos; about 0.1 s on a 2-vCPU VM
+
+
+def test_an_empty_gln40_fan_is_validated_within_its_budget(capsys, tmp_path):
+    """Building a catalog space is the whole cost of an empty fan: gln40's
+    valuation cone is cut out by its 39 normals, each pruned by one
+    Fourier-Motzkin LP, and converted by one dual description (the
+    catalog-space row of the Work bounds in docs/formats.md)."""
+    clear_memos()
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"format": "fan/1", "space": {"builtin": "gln40"}, "cones": []}))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "fan", "validate", str(path))
+    elapsed = time.perf_counter() - started
+    assert (code, err, json.loads(out)["valid"]) == (0, "", True)
+    assert elapsed < GLN40_SECONDS, elapsed
+
+
 # --- mutated fixture documents ---------------------------------------------------
 
 FUZZ_CASES = 300

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import random
 
 import pytest
@@ -24,6 +23,7 @@ from fuzz import MUTATION_KINDS, mutations
 from helpers import (
     cc1_by_construction,
     clear_memos,
+    orthant_fan,
     random_cone,
     reference_colored_faces,
     reference_decolor,
@@ -438,17 +438,6 @@ def test_members_are_validated_once(monkeypatch):
     assert validate_colored_fan(broken).violations == expected != []
 
 
-def orthant_fan(n, columns=None):
-    """The 3^n cones of the coordinate orthant fan of torus n, with the
-    unit vectors replaced by ``columns`` when given."""
-    columns = columns or signed_basis(n)[::2]
-    members = []
-    for signs in itertools.product((-1, 0, 1), repeat=n):
-        gens = [vec_scale(s, columns[i]) for i, s in enumerate(signs) if s]
-        members.append(ColoredCone(Cone(gens, n)))
-    return ColoredFan(builtin_space("torus", n), tuple(members))
-
-
 def test_orthant_fan_pairs_need_no_elimination(monkeypatch):
     """The 81 faces of the rank-4 orthant fan, validated cold: each of the
     3,240 member pairs has a separating member normal, so none runs an LP."""
@@ -479,6 +468,39 @@ def test_decolor_of_the_rank4_orthant_fan_validates_each_member_once_cold(monkey
     out, report = decolor(fan)
     assert report.ok and seen == list(fan.cones)
     assert _fan_table(out) == _fan_table(reference_decolor(fan))
+
+
+def test_validating_the_rank4_orthant_fan_decides_support_only_for_cc2(monkeypatch):
+    """Cold, the rank-4 orthant fan holds every face of every member, so CF1
+    decides no support: ``relint_meets`` runs once per member, for CC2."""
+    clear_memos()
+    calls = []
+    meets = luna_vust.relint_meets
+    monkeypatch.setattr(luna_vust, "relint_meets", lambda a, b: calls.append(a) or meets(a, b))
+    fan = orthant_fan(4)
+    assert validate_colored_fan(fan).ok
+    assert len(calls) == len(fan.cones) == 81
+
+
+def test_decolor_clips_only_the_colored_members(monkeypatch):
+    """Decolor intersects a colored member with the valuation cone and keeps
+    an uncolored member's cone as it is: cold, the rank-4 orthant fan is
+    decolored with no intersection, and a colored gln2 fan with one per
+    colored member; both equal the reference, which clips every member."""
+    rng = random.Random(33)
+    fans = [orthant_fan(4)] + [_colored_gln2_fan(rng) for _ in range(3)]
+    fans.append(ColoredFan(GL2, (cc([]), cc([(1, 0)]), cc([(-1, 1), (1, 0)], {E}))))
+    intersect = Cone.intersect
+    for fan in fans:
+        expected = _fan_table(reference_decolor(fan))
+        clear_memos()
+        seen = []
+        monkeypatch.setattr(Cone, "intersect", lambda self, other: seen.append(self) or intersect(self, other))
+        out, report = decolor(fan)
+        monkeypatch.undo()
+        assert report.ok and _fan_table(out) == expected
+        assert sorted(c.generators for c in seen) == sorted(m.cone.generators for m in fan.cones if m.colors)
+    assert not any(m.colors for m in fans[0].cones)
 
 
 def test_a_repeated_fan_document_decides_no_cone_fact_again(monkeypatch):
@@ -653,17 +675,15 @@ def test_equal_spaces_listing_other_valuation_generators_share_no_result():
 
 
 def _member_answers(space, member):
-    """The report and the three face listings, read from the member-facts memo."""
-    _, faces, supported, face_set = luna_vust._facts(space, member)
-    report = validate_colored_cone(space, member, member=7)
-    return report.violations, _face_table(faces), _face_table(supported), face_set
+    """The problems and the face listing, read from the member-facts memo."""
+    problems, faces = luna_vust._facts(space, member)
+    return list(problems), _face_table(faces)
 
 
 def _reference_answers(space, member):
     faces = reference_colored_faces(space, member)
-    supported = [f for f in faces if lattice.relint_meets(f.cone, space.valuation_cone)]
-    report = reference_validate_colored_cone(space, member, member=7)
-    return report.violations, _face_table(faces), _face_table(supported), frozenset(faces)
+    report = reference_validate_colored_cone(space, member)
+    return [(v.axiom, v.message) for v in report.violations], _face_table(faces)
 
 
 def _member_cases():
