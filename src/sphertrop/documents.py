@@ -140,7 +140,7 @@ def space_from_doc(doc):
         raise DocumentError("an sl2_u space has rank 1, got %d" % rank)
     if family == "gln" and (type(family_size) is not int or family_size != rank):
         raise DocumentError("a gln space needs family_size %d (its rank), got %r" % (rank, family_size))
-    valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank)
+    valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank, int_vector_from_doc)
     palette = {}  # label -> vector: documents name colors by label
     for entry in _shaped(doc.get("palette", []), list, "'palette'"):
         label = _shaped(_require(entry, "label"), str, "'label'")
@@ -165,9 +165,10 @@ def space_from_doc(doc):
     )
 
 
-def _cone_from_doc(doc, rank):
+def _cone_from_doc(doc, rank, read_vector):
+    """The cone of a document's ``generators``, each read by ``read_vector``."""
     gens = _shaped(_require(doc, "generators"), list, "'generators'")
-    gens = [int_vector_from_doc(g) for g in gens]
+    gens = [read_vector(g) for g in gens]
     try:
         return Cone(gens, rank)
     except ValueError as exc:
@@ -195,9 +196,20 @@ def fan_to_doc(fan):
 def fan_from_doc(doc):
     _check_format(doc, "fan/1")
     space = space_from_doc(_require(doc, "space"))
+    vectors = {}  # members share generators: each distinct list of strings is read once
+
+    def read_vector(g):
+        if type(g) is not list or not all(type(a) is str for a in g):
+            return int_vector_from_doc(g)
+        key = tuple(g)
+        vector = vectors.get(key)
+        if vector is None:
+            vector = vectors[key] = int_vector_from_doc(g)
+        return vector
+
     cones = []
     for entry in _shaped(_require(doc, "cones"), list, "'cones'"):
-        cone = _cone_from_doc(entry, space.rank)
+        cone = _cone_from_doc(entry, space.rank, read_vector)
         colors = set()
         for label in _shaped(entry.get("colors", []), list, "'colors'"):
             try:

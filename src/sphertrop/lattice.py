@@ -648,10 +648,11 @@ def _pointed_rank(gens, dim):
 def _cut_out(normals, dim):
     """``(pruned normals, sorted generators, (pointed, rank))`` of the cone ``normals`` cut out,
     keyed on the normals as given; its lineality space is ``{x : N x = 0}``, so it is pointed
-    exactly when its normals have full rank."""
+    exactly when its normals have full rank.  No normals cut out the whole space, of rank
+    ``dim``, read with no elimination."""
     pruned = _irredundant(_directions(normals, dim), dim)
     gens = tuple(sorted(dual_description(pruned, dim)))
-    return pruned, gens, (matrix_rank(pruned) == dim, matrix_rank(gens))
+    return pruned, gens, (matrix_rank(pruned) == dim, matrix_rank(gens) if pruned else dim)
 
 
 def relint_meets(cone_a, cone_b):

@@ -11,6 +11,7 @@ object points at.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -110,10 +111,11 @@ class ColoredFan:
     which is immutable, together with the record of its member set over its
     space (None when a member repeats), and reads them back on later calls;
     :func:`star` and :func:`decolor` read the record from there.  Across
-    objects, only the record is shared: the verdict valid and the decolored
-    fan.  An invalid fan's report lists members by their index, and equal
-    fans whose members contain a line can list different generators, and so
-    get different CF2 witnesses.
+    objects, only the record is shared: what the first full check of the
+    member set found, in no member order, and the decolored fan.  An invalid
+    fan's report lists members by their index, and equal fans whose members
+    contain a line can list different generators, and so get different CF2
+    witnesses; both are computed for each fan object.
     """
 
     space: SphericalSpace
@@ -235,13 +237,19 @@ def _member_facts(gens, dim, colors, vc_normals, vc_dim):
 
 @dataclass(eq=False, slots=True)
 class _Record:
-    """What the fan layer knows of one member set over one space: whether a
-    fan of it was found valid, and its decolored fan once built.  Records
-    compare by identity, so a memo keyed on one makes no set comparison."""
+    """What the fan layer knows of one member set over one space, none of it
+    depending on the member order: once a fan of it was checked in full, each
+    member's problems and CF1 messages (``found``), the member pairs whose
+    relative interiors meet inside the valuation cone (``overlaps``) and
+    whether the check found nothing; and its decolored fan once built.
+    Records compare by identity, so a memo keyed on one makes no set
+    comparison."""
 
     space: SphericalSpace
     members: frozenset
     valid: bool = False
+    found: dict | None = None
+    overlaps: tuple = ()
     decolored: ColoredFan | None = None
 
 
@@ -265,11 +273,15 @@ def validate_colored_fan(fan):
     disjoint; violations carry an exact rational witness point.  Each fan
     object is checked once; every call returns a fresh report.
 
-    Every axiom is about one member or a pair of members, so validity
-    depends on the space and the member set alone: a fan whose member set's
-    record is marked valid is valid with no check.  Any other fan is checked
-    in its member order, and marks its record valid only when that check
-    finds nothing.
+    Every axiom is about one member or a pair of members, so what a check
+    finds depends on the space and the member set alone, up to the member
+    indices and the CF2 witnesses: a fan whose member set's record is marked
+    valid is valid with no check.  A fan whose record holds a full check
+    reads each member's problems and CF1 messages from it and computes a
+    witness only for the recorded overlapping pairs, in its own member
+    order, as a witness depends on which cone comes first; its report is
+    that of a full check.  Any other fan is checked in full, in its member
+    order, and fills its record.
     """
     if fan._checked is None:
         object.__setattr__(fan, "_checked", _check(fan))
@@ -278,47 +290,54 @@ def validate_colored_fan(fan):
 
 def _check(fan):
     """``(violations, record)`` of ``fan``; the record is None when a member repeats."""
-    space = fan.space
-    members = frozenset(fan.cones)
+    space, cones = fan.space, fan.cones
+    members = frozenset(cones)
     record = None
-    if len(members) == len(fan.cones):
+    if len(members) == len(cones):
         record = _record(space, space.valuation_cone.generators, members)
         if record.valid:
             return (), record
+    if record is None or record.found is None:
+        facts = [_member_check(space, cc, members) for cc in cones]
+        pairs = itertools.combinations(range(len(cones)), 2)
+    else:
+        facts = [record.found[cc] for cc in cones]
+        index = dict(zip(cones, range(len(cones))))
+        pairs = sorted(sorted((index[a], index[b])) for a, b in record.overlaps)
+
     report = ValidationReport()
     for problem in space.invariant_problems():
         report.add(None, "SPACE", problem)
-
-    missing = ValidationReport()
-    for i, cc in enumerate(fan.cones):
-        problems, faces = _facts(space, cc)
+    for i, (problems, _) in enumerate(facts):
         report.violations += (Violation(i, *problem) for problem in problems)
-        for face in () if problems else faces:
-            if face not in members and relint_meets(face.cone, space.valuation_cone):
-                missing.add(
-                    i,
-                    "CF1",
-                    "colored face %r with colors %s is missing from the fan"
-                    % (list(face.cone.generators), sorted(face.colors)),
-                )
-    report.extend(missing)
-
-    for i in range(len(fan.cones)):
-        for j in range(i + 1, len(fan.cones)):
-            witness = relint_common_point(
-                fan.cones[i].cone, fan.cones[j].cone, space.valuation_cone
+    for i, (_, missing) in enumerate(facts):
+        report.violations += (Violation(i, "CF1", message) for message in missing)
+    overlaps = []
+    for i, j in pairs:
+        witness = relint_common_point(cones[i].cone, cones[j].cone, space.valuation_cone)
+        if witness is not None:
+            overlaps.append((cones[i], cones[j]))
+            report.add(
+                i,
+                "CF2",
+                "relative interiors of members %d and %d share the point (%s) inside the valuation cone"
+                % (i, j, ", ".join(map(str, witness))),
+                witness=witness,
             )
-            if witness is not None:
-                report.add(
-                    i,
-                    "CF2",
-                    "relative interiors of members %d and %d share the point (%s) inside the valuation cone"
-                    % (i, j, ", ".join(map(str, witness))),
-                    witness=witness,
-                )
-    if report.ok:  # a repeated member meets itself (CF2) or fails CC2, so record is set
-        record.valid = True
+    if record is not None and record.found is None:
+        record.found, record.overlaps, record.valid = dict(zip(cones, facts)), tuple(overlaps), report.ok
     return tuple(report.violations), record
+
+
+def _member_check(space, cc, members):
+    """``(problems, CF1 messages)`` of the member ``cc`` of a fan with the set ``members``."""
+    problems, faces = _facts(space, cc)
+    missing = tuple(
+        "colored face %r with colors %s is missing from the fan" % (list(face.cone.generators), sorted(face.colors))
+        for face in (() if problems else faces)
+        if face not in members and relint_meets(face.cone, space.valuation_cone)
+    )
+    return problems, missing
 
 
 def decolor(fan):

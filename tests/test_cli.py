@@ -712,6 +712,23 @@ def test_an_empty_gln40_fan_is_validated_within_its_budget(capsys, tmp_path):
     assert elapsed < GLN40_SECONDS, elapsed
 
 
+TORUS1200_SECONDS = 1.0  # budget for building torus1200 from cold memos; about 0.3 s on a 2-vCPU VM
+
+
+def test_an_empty_torus1200_fan_is_validated_within_its_budget(capsys, tmp_path):
+    """torus1200's valuation cone is the whole space, cut out by no normals:
+    its rank is read with no elimination over its 2,400 signed unit vectors
+    (the catalog-space row of the Work bounds in docs/formats.md)."""
+    clear_memos()
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"format": "fan/1", "space": {"builtin": "torus1200"}, "cones": []}))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "fan", "validate", str(path))
+    elapsed = time.perf_counter() - started
+    assert (code, err, json.loads(out)["valid"]) == (0, "", True)
+    assert elapsed < TORUS1200_SECONDS, elapsed
+
+
 # --- mutated fixture documents ---------------------------------------------------
 
 FUZZ_CASES = 300

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphertrop import cli, documents
 from sphertrop.balance import WeightedRayFan, check_balancing
 from sphertrop.catalog import FAMILIES, builtin_space, fixture_doc, space_by_id
 from sphertrop.documents import (
@@ -32,7 +33,7 @@ from sphertrop.luna_vust import ColoredCone, ColoredFan, SphericalSpace, validat
 from sphertrop.puiseux import PuiseuxPoly
 from sphertrop.tropicalize import CurveBranch
 
-from helpers import reference_dumps, reference_integer_from_str, reference_rational_from_str
+from helpers import orthant_fan, reference_dumps, reference_integer_from_str, reference_rational_from_str
 
 
 def test_rational_codec():
@@ -216,6 +217,41 @@ def test_fan_document_roundtrip_is_identity_on_canonical_forms():
     back = fan_from_doc(doc)
     assert validate_colored_fan(back).ok
     assert len(back.cones) == len(fan.cones)
+
+
+def test_a_fan_document_reads_each_distinct_generator_once(monkeypatch):
+    """The rank-3 orthant fan's 27 members list 54 generators, 6 of them
+    distinct: the reader runs ``int_vector_from_doc`` once per distinct one,
+    and reads the same fan."""
+    doc = fan_to_doc(orthant_fan(3))
+    doc["space"] = {"builtin": "torus3"}
+    texts = [g for entry in doc["cones"] for g in entry["generators"]]
+    assert (len(texts), len({tuple(g) for g in texts})) == (54, 6)
+    read = []
+    int_vector = documents.int_vector_from_doc
+    monkeypatch.setattr(documents, "int_vector_from_doc", lambda g: read.append(g) or int_vector(g))
+    fan = fan_from_doc(doc)
+    assert sorted(read) == sorted({tuple(g): g for g in texts}.values())
+    assert fan == orthant_fan(3)
+
+
+@pytest.mark.parametrize(
+    "generator, message",
+    [("123", "expected a vector, got '123'"), (["1", 2, "3"], "bad rational 2 (expected 'p' or 'p/q')")],
+)
+def test_a_generator_that_is_no_list_of_strings_is_read_as_before(capsys, tmp_path, generator, message):
+    """After the vector ("1", "2", "3") is read, the string "123", whose tuple
+    is that key, and a list holding a non-string are still rejected in full:
+    ``fan validate`` exits 2 with the reader's message."""
+    doc = {
+        "format": "fan/1",
+        "space": {"builtin": "torus3"},
+        "cones": [{"generators": [["1", "2", "3"]]}, {"generators": [generator]}],
+    }
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["fan", "validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_weighted_fan_roundtrip():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -654,6 +655,77 @@ def test_fan_results_match_the_reference_in_every_member_order():
         assert report.violations == reference_validate_colored_fan(shuffled).violations
         assert "CF2" in report.axioms() and shuffled._checked[1] is None
         assert luna_vust._record.cache_info() == lookups
+
+
+def _counting_pairs(monkeypatch):
+    """The (cone, cone) pairs the fan check hands ``relint_common_point``, from now on."""
+    pairs = []
+    common_point = luna_vust.relint_common_point
+
+    def counting(a, b, region):
+        pairs.append((a, b))
+        return common_point(a, b, region)
+
+    monkeypatch.setattr(luna_vust, "relint_common_point", counting)
+    return pairs
+
+
+def _overlapping_orthant_fan(n):
+    """The rank-n orthant fan plus the ray through the sum of e_1..e_n: its
+    relative interior lies in that of the positive orthant (CF2)."""
+    fan = orthant_fan(n)
+    return ColoredFan(fan.space, fan.cones + (ColoredCone(Cone([(1,) * n], n)),))
+
+
+def test_a_repeated_invalid_member_set_retests_only_its_overlapping_pairs(monkeypatch):
+    """An invalid fan checked cold fills its member set's record; a new fan of
+    the same members in another order then reads each member's problems and
+    CF1 messages from the record, looks up no member facts, and calls
+    ``relint_common_point`` once per recorded overlapping pair, in its own
+    member order, with the report of a full check in that order.  A fan with
+    a repeated member has no record and is checked in full every time."""
+    rng = random.Random(55)
+    invalid = [_overlapping_orthant_fan(3)]
+    for fan in _valid_fans():
+        invalid += [mutated for _, mutated, _ in mutations(fan, rng, 5)]
+    invalid = [fan for fan in invalid if len(set(fan.cones)) == len(fan.cones)]
+    assert {v.axiom for fan in invalid for v in reference_validate_colored_fan(fan).violations} >= {
+        "CF1", "CF2", "CC2", "CC3"
+    }
+    seen = _counting_member_lookups(monkeypatch)
+    pairs = _counting_pairs(monkeypatch)
+    for fan in invalid:
+        clear_memos()
+        cold = _shuffled(rng, fan)
+        assert validate_colored_fan(cold).violations == reference_validate_colored_fan(cold).violations != []
+        record = cold._checked[1]
+        assert not record.valid and len(record.found) == len(fan.cones)
+        warm = _shuffled(rng, fan)
+        region = warm.space.valuation_cone
+        overlapping = [
+            (a.cone, b.cone)
+            for a, b in itertools.combinations(warm.cones, 2)
+            if lattice.relint_common_point(a.cone, b.cone, region) is not None
+        ]
+        expected = reference_validate_colored_fan(warm).violations
+        seen.clear()
+        pairs.clear()
+        assert validate_colored_fan(warm).violations == expected
+        assert warm._checked[1] is record and seen == []
+        assert pairs == overlapping and len(record.overlaps) == len(overlapping)
+    # the 28-member torus3 fan: 378 pairs cold, its one overlapping pair warm;
+    # with a repeated member, all 406 pairs of 29 members on every new object
+    clear_memos()
+    fan = _overlapping_orthant_fan(3)
+    broken = fan.cones + fan.cones[5:6]
+    for members, counts in ((fan.cones, [378, 1, 1]), (broken, [406, 406, 406])):
+        for count in counts:
+            copy = _shuffled(rng, ColoredFan(fan.space, members))
+            seen.clear()
+            pairs.clear()
+            assert validate_colored_fan(copy).violations == reference_validate_colored_fan(copy).violations
+            assert len(pairs) == count and (count == 1) == (seen == [])
+        assert (copy._checked[1] is None) == (members is broken)
 
 
 def test_equal_spaces_listing_other_valuation_generators_share_no_result():
