@@ -108,14 +108,14 @@ class ColoredFan:
     """A finite collection of colored cones over one space.
 
     :func:`validate_colored_fan` stores its violations on the fan object,
-    which is immutable, together with the record of its member set over its
-    space (None when a member repeats), and reads them back on later calls;
-    :func:`star` and :func:`decolor` read the record from there.  Across
-    objects, only the record is shared: what the first full check of the
-    member set found, in no member order, and the decolored fan.  An invalid
-    fan's report lists members by their index, and equal fans whose members
-    contain a line can list different generators, and so get different CF2
-    witnesses; both are computed for each fan object.
+    which is immutable, together with the record of its distinct members
+    over its space, and reads them back on later calls; :func:`star` and
+    :func:`decolor` read the record from there.  Across objects, only the
+    record is shared: what the first full check of the member set found, in
+    no member order, repeating a member or not, and the decolored fan.  An
+    invalid fan's report lists members by their index, and equal fans whose
+    members contain a line can list different generators, and so get
+    different CF2 witnesses; both are computed for each fan object.
     """
 
     space: SphericalSpace
@@ -237,11 +237,12 @@ def _member_facts(gens, dim, colors, vc_normals, vc_dim):
 
 @dataclass(eq=False, slots=True)
 class _Record:
-    """What the fan layer knows of one member set over one space, none of it
-    depending on the member order: once a fan of it was checked in full, each
-    member's problems and CF1 messages (``found``), the member pairs whose
-    relative interiors meet inside the valuation cone (``overlaps``) and
-    whether the check found nothing; and its decolored fan once built.
+    """What the fan layer knows of one set of distinct members over one space,
+    none of it depending on the member order: once a fan of it was checked in
+    full, each member's problems and CF1 messages (``found``), the unordered
+    pairs of distinct members whose relative interiors meet inside the
+    valuation cone (``overlaps``) and whether a fan of the set with no repeated
+    member is valid (``valid``); and its decolored fan once built.
     Records compare by identity, so a memo keyed on one makes no set
     comparison."""
 
@@ -273,15 +274,16 @@ def validate_colored_fan(fan):
     disjoint; violations carry an exact rational witness point.  Each fan
     object is checked once; every call returns a fresh report.
 
-    Every axiom is about one member or a pair of members, so what a check
-    finds depends on the space and the member set alone, up to the member
-    indices and the CF2 witnesses: a fan whose member set's record is marked
-    valid is valid with no check.  A fan whose record holds a full check
-    reads each member's problems and CF1 messages from it and computes a
-    witness only for the recorded overlapping pairs, in its own member
-    order, as a witness depends on which cone comes first; its report is
-    that of a full check.  Any other fan is checked in full, in its member
-    order, and fills its record.
+    Every axiom is about one member or a pair of members, so a check finds
+    what the space and the set of distinct members decide, up to the member
+    indices, the CF2 witnesses and the repeats: a fan repeating no member
+    whose set's record is marked valid is valid with no check.  A fan whose
+    record holds a full check reads each member's problems and CF1 messages
+    from it and computes a witness only for the pairs of positions holding
+    recorded overlapping members or one member twice, in (i, j) order, as a
+    witness depends on which cone comes first; its report is that of a full
+    check.  Any other fan is checked in full, in its member order, and fills
+    its record.
     """
     if fan._checked is None:
         object.__setattr__(fan, "_checked", _check(fan))
@@ -289,21 +291,26 @@ def validate_colored_fan(fan):
 
 
 def _check(fan):
-    """``(violations, record)`` of ``fan``; the record is None when a member repeats."""
+    """``(violations, record)`` of ``fan``, its record that of its distinct members; CF2
+    skips every pair holding a member of another dimension than the rank (a SPACE problem)."""
     space, cones = fan.space, fan.cones
     members = frozenset(cones)
-    record = None
-    if len(members) == len(cones):
-        record = _record(space, space.valuation_cone.generators, members)
-        if record.valid:
-            return (), record
-    if record is None or record.found is None:
+    record = _record(space, space.valuation_cone.generators, members)
+    if record.valid and len(members) == len(cones):
+        return (), record
+    kept = [i for i, cc in enumerate(cones) if cc.cone.ambient_dim == space.rank]
+    if record.found is None:
         facts = [_member_check(space, cc, members) for cc in cones]
-        pairs = itertools.combinations(range(len(cones)), 2)
+        pairs = itertools.combinations(kept, 2)
     else:
         facts = [record.found[cc] for cc in cones]
-        index = dict(zip(cones, range(len(cones))))
-        pairs = sorted(sorted((index[a], index[b])) for a, b in record.overlaps)
+        positions = {}
+        for i in kept:
+            positions.setdefault(cones[i], []).append(i)
+        pairs = sorted(
+            {(min(i, j), max(i, j)) for a, b in record.overlaps for i in positions[a] for j in positions[b]}
+            | {pair for at in positions.values() for pair in itertools.combinations(at, 2)}
+        )
 
     report = ValidationReport()
     for problem in space.invariant_problems():
@@ -312,11 +319,12 @@ def _check(fan):
         report.violations += (Violation(i, *problem) for problem in problems)
     for i, (_, missing) in enumerate(facts):
         report.violations += (Violation(i, "CF1", message) for message in missing)
-    overlaps = []
+    overlaps = set()
     for i, j in pairs:
         witness = relint_common_point(cones[i].cone, cones[j].cone, space.valuation_cone)
         if witness is not None:
-            overlaps.append((cones[i], cones[j]))
+            if cones[i] != cones[j]:
+                overlaps.add(frozenset((cones[i], cones[j])))
             report.add(
                 i,
                 "CF2",
@@ -324,8 +332,9 @@ def _check(fan):
                 % (i, j, ", ".join(map(str, witness))),
                 witness=witness,
             )
-    if record is not None and record.found is None:
-        record.found, record.overlaps, record.valid = dict(zip(cones, facts)), tuple(overlaps), report.ok
+    if record.found is None:  # only a repeated member meeting itself breaks a valid set
+        record.found, record.overlaps = dict(zip(cones, facts)), tuple(overlaps)
+        record.valid = not overlaps and all(v.axiom == "CF2" for v in report.violations)
     return tuple(report.violations), record
 
 

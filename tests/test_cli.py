@@ -150,6 +150,23 @@ def test_fan_validate_mutated_fan(capsys, tmp_path):
     assert {v["axiom"] for v in doc["violations"]} & expected
 
 
+def test_fan_validate_reports_a_repeated_member_alike_on_every_run(capsys, tmp_path):
+    """A fan/1 document listing one member twice, validated twice in one
+    process (the second run reads the record the first filled): both runs
+    exit 1 with the same output, whose CF2 violation names both positions."""
+    doc = copy.deepcopy(COLORED_GLN2_FAN)
+    doc["cones"].append(copy.deepcopy(doc["cones"][1]))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    clear_memos()
+    first = run(capsys, "fan", "validate", str(path))
+    second = run(capsys, "fan", "validate", str(path))
+    assert first == second and first[0] == 1
+    assert [(v["axiom"], v["member"], v["message"]) for v in json.loads(first[1])["violations"]] == [
+        ("CF2", 1, "relative interiors of members 1 and 3 share the point (1, 0) inside the valuation cone")
+    ]
+
+
 def test_fan_star(capsys, fan_file):
     fan_doc = json.loads(open(fan_file).read())
     index = next(

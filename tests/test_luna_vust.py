@@ -611,8 +611,9 @@ def _shuffled(rng, fan):
 def test_fan_results_match_the_reference_in_every_member_order():
     """Validation, star and decolor of valid fans, in shuffled member orders,
     cold and warm, equal the member-order references; so does the report of
-    every invalid fan, which marks no record valid, and a fan with a
-    repeated member looks no record up."""
+    every invalid fan, which never takes the valid fast path: its record is
+    not marked valid, or it repeats a member of a set that is (and then
+    shares that set's record)."""
     rng = random.Random(54)
     invalid, repeated = [], []
     for fan in _valid_fans():
@@ -645,7 +646,8 @@ def test_fan_results_match_the_reference_in_every_member_order():
             for warm in (False, True):
                 copy = ColoredFan(shuffled.space, shuffled.cones)
                 assert validate_colored_fan(copy).violations == expected != []
-                assert copy._checked[1] is None or not copy._checked[1].valid
+                record = copy._checked[1]
+                assert not record.valid or len(record.members) < len(copy.cones)
     # the repeated-member fans once their member set is marked valid
     for fan, broken in repeated:
         assert validate_colored_fan(fan).ok
@@ -653,8 +655,8 @@ def test_fan_results_match_the_reference_in_every_member_order():
         shuffled = _shuffled(rng, broken)
         report = validate_colored_fan(shuffled)
         assert report.violations == reference_validate_colored_fan(shuffled).violations
-        assert "CF2" in report.axioms() and shuffled._checked[1] is None
-        assert luna_vust._record.cache_info() == lookups
+        assert "CF2" in report.axioms() and shuffled._checked[1] is fan._checked[1]
+        assert luna_vust._record.cache_info().misses == lookups.misses
 
 
 def _counting_pairs(monkeypatch):
@@ -683,7 +685,8 @@ def test_a_repeated_invalid_member_set_retests_only_its_overlapping_pairs(monkey
     CF1 messages from the record, looks up no member facts, and calls
     ``relint_common_point`` once per recorded overlapping pair, in its own
     member order, with the report of a full check in that order.  A fan with
-    a repeated member has no record and is checked in full every time."""
+    a repeated member has the record of its distinct members: checked in full
+    cold, it then retests only its overlapping and repeated-position pairs."""
     rng = random.Random(55)
     invalid = [_overlapping_orthant_fan(3)]
     for fan in _valid_fans():
@@ -714,18 +717,117 @@ def test_a_repeated_invalid_member_set_retests_only_its_overlapping_pairs(monkey
         assert warm._checked[1] is record and seen == []
         assert pairs == overlapping and len(record.overlaps) == len(overlapping)
     # the 28-member torus3 fan: 378 pairs cold, its one overlapping pair warm;
-    # with a repeated member, all 406 pairs of 29 members on every new object
-    clear_memos()
+    # with a repeated member, all 406 pairs of 29 members cold, then the
+    # overlapping pair and the pair of the repeated member's two positions
     fan = _overlapping_orthant_fan(3)
     broken = fan.cones + fan.cones[5:6]
-    for members, counts in ((fan.cones, [378, 1, 1]), (broken, [406, 406, 406])):
-        for count in counts:
+    for members, counts in ((fan.cones, [378, 1, 1]), (broken, [406, 2, 2])):
+        clear_memos()
+        for warm, count in enumerate(counts):
             copy = _shuffled(rng, ColoredFan(fan.space, members))
             seen.clear()
             pairs.clear()
             assert validate_colored_fan(copy).violations == reference_validate_colored_fan(copy).violations
-            assert len(pairs) == count and (count == 1) == (seen == [])
-        assert (copy._checked[1] is None) == (members is broken)
+            assert len(pairs) == count and bool(warm) == (seen == [])
+        assert copy._checked[1].members == frozenset(fan.cones) and not copy._checked[1].valid
+
+
+def test_a_warm_fan_with_a_repeated_member_retests_only_overlapping_and_repeated_pairs(monkeypatch):
+    """The 29-member torus3 fan (the 28-member overlapping orthant fan with its
+    extra ray listed twice): a warm fresh object looks up no member facts and
+    calls ``relint_common_point`` exactly on the pairs of overlapping members
+    and the pair of the ray's two positions, in (i, j) order, with the
+    reference report."""
+    rng = random.Random(56)
+    fan = _overlapping_orthant_fan(3)
+    broken = ColoredFan(fan.space, fan.cones + fan.cones[-1:])
+    clear_memos()
+    validate_colored_fan(_shuffled(rng, broken))
+    warm = _shuffled(rng, broken)
+    region = warm.space.valuation_cone
+    expected_pairs = [
+        (a.cone, b.cone)
+        for a, b in itertools.combinations(warm.cones, 2)
+        if a == b or lattice.relint_common_point(a.cone, b.cone, region) is not None
+    ]
+    expected = reference_validate_colored_fan(warm).violations
+    seen = _counting_member_lookups(monkeypatch)
+    pairs = _counting_pairs(monkeypatch)
+    assert validate_colored_fan(warm).violations == expected
+    assert seen == [] and pairs == expected_pairs and len(pairs) == 3
+    assert [v.axiom for v in expected] == ["CF2"] * 3
+
+
+def test_a_member_set_first_seen_with_a_repeat_answers_it_without_one_from_the_fast_path(monkeypatch):
+    """The record filled by a fan repeating a member of a valid set is marked
+    valid, so a fan of that set with no repeat takes the valid fast path: no
+    member facts, no space invariants, no CF2 pair."""
+    clear_memos()
+    fan = fig1_fan()
+    broken = ColoredFan(fan.space, fan.cones + fan.cones[2:3])
+    assert validate_colored_fan(broken).violations == reference_validate_colored_fan(broken).violations
+    record = broken._checked[1]
+    assert record.valid and "CF2" in validate_colored_fan(broken).axioms()
+    seen = _counting_member_lookups(monkeypatch)
+    pairs = _counting_pairs(monkeypatch)
+    invariants = []
+    problems = SphericalSpace.invariant_problems
+    monkeypatch.setattr(SphericalSpace, "invariant_problems", lambda space: invariants.append(space) or problems(space))
+    fresh = fig1_fan()
+    assert validate_colored_fan(fresh).ok
+    assert fresh._checked == ((), record) and seen == pairs == invariants == []
+
+
+def test_a_fan_repeating_another_member_than_the_first_still_gets_the_reference_report(monkeypatch):
+    """A record filled by a fan repeating one member answers fans repeating
+    others, with the reference report, witnesses included: a member whose
+    relative interior misses the valuation cone (no witness against itself)
+    and an equal copy of a member with a line that lists other generators
+    (its own witnesses)."""
+    half = cc([(1, 1), (-1, -1), (1, 0)])
+    other_half = cc([(1, 1), (-1, -1), (2, 1)])
+    assert half == other_half and half.cone.generators != other_half.cone.generators
+    zero, ray, off = cc([]), cc([(1, 0)]), cc([(-1, 1)])
+    rng = random.Random(57)
+    clear_memos()
+    first = ColoredFan(GL2, (zero, ray, off, half, off))
+    assert validate_colored_fan(first).violations == reference_validate_colored_fan(first).violations
+    seen = _counting_member_lookups(monkeypatch)
+    for members in ((zero, ray, off, other_half, half), (zero, ray, ray, off, half), (other_half, ray, zero, off)):
+        for _ in range(3):
+            fan = _shuffled(rng, ColoredFan(GL2, members))
+            expected = reference_validate_colored_fan(fan).violations
+            assert validate_colored_fan(fan).violations == expected and seen == []
+            assert fan._checked[1] is first._checked[1]
+
+
+def test_a_member_of_another_dimension_is_reported_space_beside_other_members():
+    """CF2 skips every pair holding a member of another dimension than the
+    rank, repeated-position pairs included; that member is reported SPACE,
+    as alone, cold and warm."""
+    space = builtin_space("torus", 2)
+    flat, deep = ColoredCone(Cone([(1, 0)], 2)), ColoredCone(Cone([(1, 0, 0)], 3))
+    mismatch, missing = "cone dimension 3 != rank 2", "colored face [] with colors [] is missing from the fan"
+    cases = [
+        ((deep,), [(0, "SPACE", mismatch)]),
+        ((flat, deep), [(1, "SPACE", mismatch), (0, "CF1", missing)]),
+        ((deep, flat, deep), [(0, "SPACE", mismatch), (2, "SPACE", mismatch), (1, "CF1", missing)]),
+        (
+            (deep, flat, deep, flat),
+            [
+                (0, "SPACE", mismatch),
+                (2, "SPACE", mismatch),
+                (1, "CF1", missing),
+                (3, "CF1", missing),
+                (1, "CF2", "relative interiors of members 1 and 3 share the point (1, 0) inside the valuation cone"),
+            ],
+        ),
+    ]
+    clear_memos()
+    for _ in range(2):  # cold, then warm on fresh objects
+        for members, expected in cases:
+            report = validate_colored_fan(ColoredFan(space, members))
+            assert [(v.member, v.axiom, v.message) for v in report.violations] == expected
 
 
 def test_equal_spaces_listing_other_valuation_generators_share_no_result():

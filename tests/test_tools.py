@@ -21,7 +21,7 @@ def test_cold_fans_prints_one_json_line_at_rank_2():
     assert (done.returncode, done.stderr) == (0, "")
     [line] = done.stdout.splitlines()
     result = json.loads(line)
-    timed = ["validate_colored_fan", "star", "decolor", "fan_from_doc"]
+    timed = ["validate_colored_fan", "star", "decolor", "fan_from_doc", "validate_repeated"]
     assert list(result) == ["rank", *timed]
     assert result["rank"] == 2
     assert all(0 < result[name] < 10 for name in timed)

@@ -11,7 +11,9 @@ emptied and the fan rebuilt, so ``validate_colored_fan``, ``star`` (on the
 ray e_1) and ``decolor`` each run as in a fresh process; ``star`` and
 ``decolor`` validate the fan first.  ``fan_from_doc`` reads the fan's
 fan/1 text (``load_text``, then ``fan_from_doc``), written before the
-memos are emptied.  Prints one JSON line: the rank and,
+memos are emptied.  ``validate_repeated`` validates the fan with the ray
+e_1 appended again, a first full check of a fan with a repeated member
+(invalid by CF2).  Prints one JSON line: the rank and,
 per call, the least wall time of ``RUNS`` runs in seconds.  The fan and the
 memo clearing are those of the test suite (``tests/helpers.py``).
 Standard library only.
@@ -37,6 +39,9 @@ CALLS = {
     "star": lambda fan, ray, text: luna_vust.star(fan, ray),
     "decolor": lambda fan, ray, text: luna_vust.decolor(fan),
     "fan_from_doc": lambda fan, ray, text: documents.fan_from_doc(documents.load_text(text)),
+    "validate_repeated": lambda fan, ray, text: luna_vust.validate_colored_fan(
+        luna_vust.ColoredFan(fan.space, fan.cones + (ray,))
+    ),
 }
 
 
