@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from . import tropicalize
 from .balance import assemble
-from .lattice import Cone
+from .lattice import MEMO_SIZE, Cone
 from .luna_vust import SphericalSpace
 
 
@@ -123,7 +124,12 @@ FAMILIES = {
 
 
 def builtin_space(name, n=None):
-    """Construct a catalog space descriptor by family name."""
+    """A catalog space descriptor by family name: one object per ``(name, n)`` while in its memo."""
+    return _builtin_space(name, n)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _builtin_space(name, n):
     family = FAMILIES.get(name)
     if family is None:
         raise ValueError("unknown space family %r" % (name,))

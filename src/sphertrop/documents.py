@@ -12,11 +12,12 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import catalog
 from .balance import WeightedRayFan
-from .lattice import Cone
+from .lattice import MEMO_SIZE, Cone
 from .luna_vust import ColoredCone, ColoredFan, SphericalSpace
 from .puiseux import format_puiseux, parse_puiseux
 from .tropicalize import CurveBranch
@@ -71,9 +72,17 @@ def vector_to_doc(v):
 
 
 def int_vector_from_doc(doc):
+    """A list of strings is read once per process while in the memo, which stores no rejected one."""
     if not isinstance(doc, list):
         raise DocumentError("expected a vector, got %r" % (doc,))
+    if all(type(a) is str for a in doc):
+        return _int_vector(tuple(doc))
     return tuple(integer_from_str(a) for a in doc)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _int_vector(texts):
+    return tuple(integer_from_str(a) for a in texts)
 
 
 def _require(doc, key):
@@ -140,7 +149,7 @@ def space_from_doc(doc):
         raise DocumentError("an sl2_u space has rank 1, got %d" % rank)
     if family == "gln" and (type(family_size) is not int or family_size != rank):
         raise DocumentError("a gln space needs family_size %d (its rank), got %r" % (rank, family_size))
-    valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank, int_vector_from_doc)
+    valuation_cone = _cone_from_doc(_require(doc, "valuation_cone"), rank)
     palette = {}  # label -> vector: documents name colors by label
     for entry in _shaped(doc.get("palette", []), list, "'palette'"):
         label = _shaped(_require(entry, "label"), str, "'label'")
@@ -165,10 +174,9 @@ def space_from_doc(doc):
     )
 
 
-def _cone_from_doc(doc, rank, read_vector):
-    """The cone of a document's ``generators``, each read by ``read_vector``."""
-    gens = _shaped(_require(doc, "generators"), list, "'generators'")
-    gens = [read_vector(g) for g in gens]
+def _cone_from_doc(doc, rank):
+    """The cone of a document's ``generators``."""
+    gens = [int_vector_from_doc(g) for g in _shaped(_require(doc, "generators"), list, "'generators'")]
     try:
         return Cone(gens, rank)
     except ValueError as exc:
@@ -196,20 +204,9 @@ def fan_to_doc(fan):
 def fan_from_doc(doc):
     _check_format(doc, "fan/1")
     space = space_from_doc(_require(doc, "space"))
-    vectors = {}  # members share generators: each distinct list of strings is read once
-
-    def read_vector(g):
-        if type(g) is not list or not all(type(a) is str for a in g):
-            return int_vector_from_doc(g)
-        key = tuple(g)
-        vector = vectors.get(key)
-        if vector is None:
-            vector = vectors[key] = int_vector_from_doc(g)
-        return vector
-
     cones = []
     for entry in _shaped(_require(doc, "cones"), list, "'cones'"):
-        cone = _cone_from_doc(entry, space.rank, read_vector)
+        cone = _cone_from_doc(entry, space.rank)
         colors = set()
         for label in _shaped(entry.get("colors", []), list, "'colors'"):
             try:
@@ -242,11 +239,10 @@ def _colored_weight_list(space, pairs):
 def weighted_fan_from_doc(doc):
     _check_format(doc, "weighted-fan/1")
     space = space_from_doc(_require(doc, "space"))
-    rays = []
-    for entry in _shaped(_require(doc, "rays"), list, "'rays'"):
-        rays.append(
-            (int_vector_from_doc(_require(entry, "vector")), integer_from_str(_require(entry, "weight")))
-        )
+    rays = [
+        (int_vector_from_doc(_require(entry, "vector")), integer_from_str(_require(entry, "weight")))
+        for entry in _shaped(_require(doc, "rays"), list, "'rays'")
+    ]
     colored = _colored_weights_from_doc(doc.get("colored_weights", []), space)
     try:
         return WeightedRayFan(space, tuple(rays), colored)

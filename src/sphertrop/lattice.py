@@ -18,15 +18,15 @@ build none.
 :func:`dual_description` only projects.  Redundant normals and redundant
 generators are both dropped by the same implication test, :func:`_implied`.
 
-The seven pure exact computations are memoised in bounded LRU caches of
+The eight pure exact computations are memoised in bounded LRU caches of
 ``MEMO_SIZE`` entries each, keyed on immutable data: a new cone's stored
-generators, and :func:`dual_description`, on the vectors as given (tuples
-that compare equal have equal directions) and the dimension; pruning
-(:func:`_irredundant`) on the sorted distinct vectors and the dimension;
-a cone's pointedness and rank on its generators and the dimension;
-:meth:`Cone.from_inequalities`, and so :meth:`Cone.intersect`, on the
-normals as given and the dimension, with the pointedness and rank of the
-cone they cut out;
+generators, :func:`dual_description` and :func:`quotient_projection` on
+the vectors as given (tuples that compare equal have equal directions) and
+the dimension; pruning (:func:`_irredundant`) on the sorted distinct
+vectors and the dimension; a cone's pointedness and rank on its generators
+and the dimension; :meth:`Cone.from_inequalities`, and so
+:meth:`Cone.intersect`, on the normals as given and the dimension, with the
+pointedness and rank of the cone they cut out;
 :func:`relint_meets` on one cone's generators and the other's normals;
 :func:`relint_common_point` on both cones' generators and the region's
 normals, where a separating normal of either cone decides a disjoint
@@ -249,10 +249,15 @@ def quotient_projection(vs, dim):
     Returns a list of row tuples defining a surjection Z^dim -> Z^m with
     m = dim - rank(vs), whose rational kernel is span(vs).  Rows are sign
     normalized so their first nonzero entry is positive; for fixed input the
-    output is deterministic.
+    output is deterministic, and memoised on the vectors as given and ``dim``.
     """
+    return list(_quotient_projection(tuple(map(tuple, vs)), dim))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _quotient_projection(vs, dim):
     _, U, _, _, rank = _span_snf(vs, dim)
-    return [leading_positive(tuple(U[i])) for i in range(rank, dim)]
+    return tuple(leading_positive(tuple(U[i])) for i in range(rank, dim))
 
 
 def saturation_basis(vs, dim):
@@ -487,11 +492,11 @@ class Cone:
     nonnegative combination of the others is pruned deterministically, by
     the same exact test that prunes redundant normals, and the stored
     generators are memoised on the generators as given, so rebuilding a cone
-    seen before costs one lookup.  The inequality description is kept on the
-    instance: :meth:`from_inequalities` passes the pruned normals it was
-    given as the private ``_normals``, with their dual description as the
-    generators, which are then not pruned again; else it is computed lazily,
-    once per instance, by :func:`dual_description` (itself memoised).  The
+    seen before costs one lookup.  Generators known to be sorted, primitive
+    and irredundant skip that pruning through the private ``_known``, the
+    cone's normals (or None) and ``(pointed, rank)``, as :meth:`faces` and
+    :meth:`from_inequalities` pass them; normals not given are computed
+    lazily, once per instance, by :func:`dual_description` (memoised).  The
     zero cone has an empty generator list.  Instances are immutable;
     equality is set equality.  The stored generators are sorted, irredundant
     and primitive, so for a pointed cone they are exactly its primitive
@@ -505,19 +510,19 @@ class Cone:
 
     __slots__ = ("ambient_dim", "generators", "_normals", "_hash", "_shape")
 
-    def __init__(self, generators, ambient_dim=None, _normals=None):
+    def __init__(self, generators, ambient_dim=None, _known=None):
         gens = tuple(map(tuple, generators))
         if ambient_dim is None:
             if not gens:
                 raise ValueError("ambient dimension required for the zero cone")
             ambient_dim = len(gens[0])
-        if _normals is None:
-            gens = _generators(gens, ambient_dim)
+        if _known is None:
+            gens, _known = _generators(gens, ambient_dim), (None, None)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_normals", _normals)
+        object.__setattr__(self, "_normals", _known[0])
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_shape", None)
+        object.__setattr__(self, "_shape", _known[1])
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
@@ -534,9 +539,7 @@ class Cone:
         lookup and normalises nothing, and reads off its pointedness and rank.
         """
         pruned, gens, shape = _cut_out(tuple(map(tuple, normals)), ambient_dim)
-        cone = cls(gens, ambient_dim, pruned)
-        object.__setattr__(cone, "_shape", shape)
-        return cone
+        return cls(gens, ambient_dim, (pruned, shape))
 
     @property
     def inequalities(self):
@@ -592,15 +595,18 @@ class Cone:
         Geom. 23, 2002), in O(faces x facets) set intersections.  The
         normals are those :func:`dual_description` gives the generators, so
         the list, sorted by :meth:`sort_key`, depends on the generators alone.
+        A face of a pointed cone is pointed and its generators are its extreme
+        rays, so it is built unpruned, its rank read by :func:`matrix_rank`.
         Each call computes a fresh list: the fan layer memoises each member's
         colored faces, and decolor lists faces only of clipped colored members.
         """
-        gens, dim = self.generators, self.ambient_dim
+        gens, dim, pointed = self.generators, self.ambient_dim, self.is_pointed()
         tight = dict.fromkeys((gens,))
         for n in _dual(gens, dim):
             for s in list(tight):
                 tight.setdefault(tuple(g for g in s if dot(n, g) == 0))
-        return sorted((Cone(s, dim) for s in tight), key=Cone.sort_key)
+        faces = (Cone(s, dim, (None, (True, matrix_rank(s))) if pointed else None) for s in tight)
+        return sorted(faces, key=Cone.sort_key)
 
     def sort_key(self):
         return (self.dim(), self.generators)

@@ -294,6 +294,8 @@ def _check(fan):
     """``(violations, record)`` of ``fan``, its record that of its distinct members; CF2
     skips every pair holding a member of another dimension than the rank (a SPACE problem)."""
     space, cones = fan.space, fan.cones
+    if space.valuation_cone.ambient_dim != space.rank:  # no member can be checked against it
+        return tuple(Violation(None, "SPACE", problem) for problem in space.invariant_problems()), None
     members = frozenset(cones)
     record = _record(space, space.valuation_cone.generators, members)
     if record.valid and len(members) == len(cones):

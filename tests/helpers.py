@@ -1,11 +1,13 @@
 """Shared random generators (all seeded by callers) and reference implementations for the test suite."""
 
+import importlib
 import itertools
 import json
+import pkgutil
 import re
 from fractions import Fraction
 
-from sphertrop import lattice, luna_vust
+import sphertrop
 from sphertrop.catalog import builtin_space
 from sphertrop.documents import DocumentError
 from sphertrop.lattice import (
@@ -313,13 +315,22 @@ def cc1_by_construction(space, cc):
     return regenerated == sigma
 
 
+# every module of the package, ``__main__`` included (it runs nothing on import)
+MODULES = [importlib.import_module("sphertrop." + info.name) for info in pkgutil.iter_modules(sphertrop.__path__)]
+
+
 def memos():
-    """Every memo of ``lattice`` and ``luna_vust``: each ``lru_cache``."""
-    return [f for module in (lattice, luna_vust) for f in vars(module).values() if hasattr(f, "cache_info")]
+    """Every memo of every ``sphertrop`` module: each ``functools`` cache it defines."""
+    return [
+        f
+        for module in MODULES
+        for f in vars(module).values()
+        if hasattr(f, "cache_info") and f.__module__ == module.__name__
+    ]
 
 
 def clear_memos():
-    """Empty every memo of ``lattice`` and ``luna_vust``, as in a fresh process."""
+    """Empty every memo of every ``sphertrop`` module, as in a fresh process."""
     for memo in memos():
         memo.cache_clear()
 

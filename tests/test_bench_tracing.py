@@ -3,8 +3,9 @@
 One traced round of seed 1 of each workload runs through
 ``bench.tracing.Tracer``, from cold memos as in a fresh bench
 process.  ``idle_layers`` must come back empty, as the traced run requires,
-and the valuation cone of each gln_curves space, built by
-``Cone.from_inequalities``, must show up in the ``lattice.cone_init`` span.
+and the valuation cone of each distinct gln_curves space (gln3, gln4 and
+gln5), built by ``Cone.from_inequalities``, must show up in the
+``lattice.cone_init`` span: at least one call per space.
 """
 
 import os
@@ -30,12 +31,14 @@ def _traced_round(workload):
             assert oracle.check(item, pipeline.run(item)) is None, item.cls
     finally:
         tracer.uninstall()
-    return tracer, len(batch)
+    return tracer, batch
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.SCHEDULES))
 def test_no_traced_layer_is_idle(workload):
-    tracer, items = _traced_round(workload)
+    tracer, batch = _traced_round(workload)
     assert tracer.idle_layers(workload) == []
     if workload == "gln_curves":
-        assert tracer.layer_totals()["lattice.cone_init"][1] >= items
+        spaces = {item.cls for item in batch}
+        assert spaces == {"gln3", "gln4", "gln5"}
+        assert tracer.layer_totals()["lattice.cone_init"][1] >= len(spaces)

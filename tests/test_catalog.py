@@ -26,10 +26,26 @@ from sphertrop.puiseux import PuiseuxPoly
 from sphertrop.tropicalize import CurveBranch, OffSpaceError, branch_rays, trop_point
 from sphertrop.balance import assemble
 
-from helpers import nested_minor
+from helpers import clear_memos, nested_minor
 
 
 # --- built-in spaces -----------------------------------------------------------
+
+
+def test_a_catalog_space_is_one_descriptor_per_family_and_size():
+    """``builtin_space``, ``space_by_id`` and a ``{"builtin": ...}`` document
+    share one descriptor per family and size while it is in the memo; after
+    the memos are emptied an equal one is built.  A bad size raises on every
+    call."""
+    gl3 = builtin_space("gln", 3)
+    assert space_by_id("gln3") is gl3 and space_from_doc({"builtin": "gln3"}) is gl3
+    assert builtin_space("sl2_u") is space_by_id("sl2u") is space_by_id("sl2_u")
+    assert builtin_space("torus", 3) is not builtin_space("torus", 2)
+    clear_memos()
+    assert builtin_space("gln", 3) == gl3 and builtin_space("gln", 3) is not gl3
+    for _ in range(2):
+        with pytest.raises(ValueError, match="torus needs a positive rank"):
+            builtin_space("torus", 0)
 
 
 def test_builtin_space_examples():

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -744,6 +745,33 @@ def test_an_empty_torus1200_fan_is_validated_within_its_budget(capsys, tmp_path)
     elapsed = time.perf_counter() - started
     assert (code, err, json.loads(out)["valid"]) == (0, "", True)
     assert elapsed < TORUS1200_SECONDS, elapsed
+
+
+TORUS12_SIMPLICIAL_SECONDS = 5.0  # from cold memos; about 0.4 s on a 2-vCPU VM
+# sha256 of the validation report, which lists the 4,095 CF1 messages of the member's missing faces
+TORUS12_SIMPLICIAL_DIGEST = "011470a30fd6ab91d78682c9e267cefe21eb2201032cf9a6e2853a1f9b069292"
+
+
+def test_a_simplicial_torus12_member_is_validated_within_its_budget(capsys, tmp_path):
+    """One member spanned by the 12 unit vectors, with none of its faces
+    listed: its 4,096 faces are built with the shape the pointed member
+    gives them, with no pruning and no dual description, and each of the
+    2^12 - 1 proper ones is a CF1 message (the ``Cone.faces`` and
+    ``validate_colored_fan`` rows of the Work bounds in docs/formats.md).
+    The digest is that of the report when each face was pruned and its
+    shape read from its dual description, so building faces from their
+    shape changes no byte."""
+    units = [["1" if i == j else "0" for j in range(12)] for i in range(12)]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"format": "fan/1", "space": {"builtin": "torus12"}, "cones": [{"generators": units}]}))
+    clear_memos()
+    started = time.perf_counter()
+    code, out, err = run(capsys, "fan", "validate", str(path))
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (1, "")
+    assert len(json.loads(out)["violations"]) == 2**12 - 1
+    assert hashlib.sha256(out.encode()).hexdigest() == TORUS12_SIMPLICIAL_DIGEST
+    assert elapsed < TORUS12_SIMPLICIAL_SECONDS, elapsed
 
 
 # --- mutated fixture documents ---------------------------------------------------

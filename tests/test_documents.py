@@ -33,7 +33,7 @@ from sphertrop.luna_vust import ColoredCone, ColoredFan, SphericalSpace, validat
 from sphertrop.puiseux import PuiseuxPoly
 from sphertrop.tropicalize import CurveBranch
 
-from helpers import orthant_fan, reference_dumps, reference_integer_from_str, reference_rational_from_str
+from helpers import clear_memos, orthant_fan, reference_dumps, reference_integer_from_str, reference_rational_from_str
 
 
 def test_rational_codec():
@@ -219,20 +219,37 @@ def test_fan_document_roundtrip_is_identity_on_canonical_forms():
     assert len(back.cones) == len(fan.cones)
 
 
-def test_a_fan_document_reads_each_distinct_generator_once(monkeypatch):
+def test_a_fan_document_reads_each_distinct_generator_once():
     """The rank-3 orthant fan's 27 members list 54 generators, 6 of them
-    distinct: the reader runs ``int_vector_from_doc`` once per distinct one,
-    and reads the same fan."""
-    doc = fan_to_doc(orthant_fan(3))
-    doc["space"] = {"builtin": "torus3"}
-    texts = [g for entry in doc["cones"] for g in entry["generators"]]
+    distinct: from cold memos the vector memo misses once per distinct one,
+    and on a second document with the same generators not at all; both read
+    the same fan."""
+    text = dumps({**fan_to_doc(orthant_fan(3)), "space": {"builtin": "torus3"}})
+    texts = [g for entry in load_text(text)["cones"] for g in entry["generators"]]
     assert (len(texts), len({tuple(g) for g in texts})) == (54, 6)
-    read = []
-    int_vector = documents.int_vector_from_doc
-    monkeypatch.setattr(documents, "int_vector_from_doc", lambda g: read.append(g) or int_vector(g))
-    fan = fan_from_doc(doc)
-    assert sorted(read) == sorted({tuple(g): g for g in texts}.values())
-    assert fan == orthant_fan(3)
+    clear_memos()
+    for misses in (6, 0):
+        before = documents._int_vector.cache_info().misses
+        fan = fan_from_doc(load_text(text))
+        assert documents._int_vector.cache_info().misses - before == misses
+        assert fan == orthant_fan(3)
+
+
+def test_a_document_vector_is_read_once_and_a_rejected_one_on_every_call():
+    """A list of strings is read through the vector memo: an equal list gets
+    the same tuple of ints.  A rejected vector is not stored, so it raises
+    on every call, and a list holding a non-string takes the reader's own
+    path, with its message."""
+    clear_memos()
+    vector = documents.int_vector_from_doc(["1", "-2", "6/2"])
+    assert vector == (1, -2, 3) and all(type(a) is int for a in vector)
+    assert documents.int_vector_from_doc(["1", "-2", "6/2"]) is vector
+    for _ in range(2):
+        with pytest.raises(DocumentError, match="expected an integer, got '1/2'"):
+            documents.int_vector_from_doc(["1/2"])
+        with pytest.raises(DocumentError, match=re.escape("bad rational ['1'] (expected 'p' or 'p/q')")):
+            documents.int_vector_from_doc([["1"]])
+    assert documents._int_vector.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -269,6 +270,20 @@ def test_quotient_projection_properties():
             assert primitive(b)[1] == 1
 
 
+def test_quotient_projection_is_read_from_its_memo_as_a_fresh_list():
+    """A second call with the same vectors, given as lists or tuples, is one
+    memo hit and returns a new list, so altering an answer alters no later
+    one; vectors of another dimension raise on every call."""
+    clear_memos()
+    first = quotient_projection([[2, -1, 3]], 3)
+    first.append("altered")
+    assert quotient_projection([(2, -1, 3)], 3) == [(1, 2, 0), (0, 3, 1)]
+    assert lattice._quotient_projection.cache_info()[:2] == (1, 1)  # hits, misses
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not live in Z"):
+            quotient_projection([(1, 2)], 3)
+
+
 # A Fraction entry is an error, never truncated: the quotient row of
 # (1/2, 1) is (2, -1), while int() would give (1, 0), the row of (0, 1).
 NON_INTEGER_ENTRIES = {
@@ -477,19 +492,75 @@ def test_relint_answers_match_cold_and_warm():
     assert any(meets for meets, _, _ in cold) and not all(meets for meets, _, _ in cold)
 
 
+def _seeded_orthant_cones(rng, count):
+    """Cones spanned by nonzero 0/1 vectors of one sign pattern, of rank <= 6,
+    lower-dimensional ones included; one in five gets a line."""
+    for _ in range(count):
+        dim = rng.randint(1, 6)
+        signs = [rng.choice((-1, 1)) for _ in range(dim)]
+        gens = [tuple(s * rng.randint(0, 1) for s in signs) for _ in range(rng.randint(1, dim + 1))]
+        gens = [v for v in gens if any(v)] or [tuple(signs)]
+        if rng.random() < 0.2:
+            gens.append(tuple(-a for a in gens[0]))
+        yield Cone(gens, dim)
+
+
+def test_faces_know_their_shape():
+    """Each face is built with the pointedness and rank ``_pointed_rank``
+    reads off its dual description, and with the generators the pruning
+    constructor gives it, on seeded pointed cones of rank <= 6, on
+    non-simplicial ones (over a square, a pentagon and a 3-cube, whose
+    faces have more generators than their rank) and on some with a line.
+    The faces of a pointed cone call neither ``_pointed_rank`` nor ``_generators``."""
+    cones = [
+        Cone([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+        Cone([(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+        Cone([(a, b, c, 1) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]),
+        *_seeded_orthant_cones(random.Random(36), 60),
+    ]
+    pointed = 0
+    for cone in cones:
+        dim = cone.ambient_dim
+        pointed += cone.is_pointed()
+        memos_before = lattice._pointed_rank.cache_info(), lattice._generators.cache_info()
+        faces = cone.faces()
+        if cone.is_pointed():
+            assert (lattice._pointed_rank.cache_info(), lattice._generators.cache_info()) == memos_before
+        for face in faces:
+            assert (face.is_pointed(), face.dim()) == lattice._pointed_rank(face.generators, dim)
+            assert face.generators == lattice._generators(face.generators, dim)
+            assert face == Cone(face.generators, dim)
+    assert 40 < pointed < len(cones)
+
+
 # --- memos -------------------------------------------------------------------
 
 
 def test_memos_are_bounded():
-    assert {memo.__module__ for memo in memos()} == {"sphertrop.lattice", "sphertrop.luna_vust"}
-    for memo in memos():
-        assert memo.cache_info().maxsize == lattice.MEMO_SIZE
-    fan_layer = {memo.__name__ for memo in memos() if memo.__module__ == "sphertrop.luna_vust"}
-    assert fan_layer == {"_member_facts", "_record", "_star"}
-    cone_layer = {memo.__name__ for memo in memos() if memo.__module__ == "sphertrop.lattice"}
-    assert cone_layer == {
-        "_prune", "_dual", "_generators", "_pointed_rank", "_cut_out", "_relint_meets", "_relint_common_point"
+    """The full set of memos, each holding at most ``MEMO_SIZE`` entries; the
+    CLI's parser cache takes no argument, so it holds one parser."""
+    names = {(memo.__module__, memo.__name__) for memo in memos()}
+    assert names == {
+        ("sphertrop.documents", "_int_vector"),
+        ("sphertrop.catalog", "_builtin_space"),
+        ("sphertrop.cli", "_parser"),
+        ("sphertrop.luna_vust", "_member_facts"),
+        ("sphertrop.luna_vust", "_record"),
+        ("sphertrop.luna_vust", "_star"),
+        *(
+            ("sphertrop.lattice", name)
+            for name in (
+                "_quotient_projection", "_prune", "_dual", "_generators", "_pointed_rank", "_cut_out",
+                "_relint_meets", "_relint_common_point",
+            )
+        ),
     }
+    assert len(memos()) == len(names)
+    for memo in memos():
+        if memo.__name__ == "_parser":
+            assert inspect.signature(memo).parameters == {}
+        else:
+            assert memo.cache_info().maxsize == lattice.MEMO_SIZE
 
 
 def test_a_cone_is_cut_out_before_its_normals_are_normalised():

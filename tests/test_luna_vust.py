@@ -100,10 +100,26 @@ def test_validate_unknown_palette_index():
 
 
 def test_zero_palette_vector_reports_cc3():
-    broken = builtin_space("gln", 2)
-    object.__setattr__(broken, "palette", (("E2", (0, 0)),))
+    broken = dataclasses.replace(builtin_space("gln", 2), palette=(("E2", (0, 0)),))
     report = validate_colored_cone(broken, cc([(1, 0)], {E}))
     assert "CC3" in report.axioms()
+
+
+def test_a_valuation_cone_of_another_dimension_is_reported_space_alone():
+    """A space whose valuation cone lives in another dimension than its rank
+    gets its SPACE problems and no member check, since no member can be
+    compared with that cone; ``star`` and ``decolor`` reject the fan."""
+    broken = SphericalSpace("broken", 2, Cone(signed_basis(3), 3))
+    fan = ColoredFan(broken, (ColoredCone(Cone([], 2)), ColoredCone(Cone([(1, 0)], 2))))
+    for candidate in (fan, ColoredFan(broken, fan.cones)):  # a second object of the same fan
+        report = validate_colored_fan(candidate)
+        assert [(v.member, v.axiom, v.message) for v in report.violations] == [
+            (None, "SPACE", "valuation cone lives in the wrong dimension")
+        ]
+    with pytest.raises(InvalidColoredConeError, match="SPACE"):
+        decolor(fan)
+    with pytest.raises(InvalidColoredConeError, match="SPACE"):
+        star(fan, fan.cones[1])
 
 
 def test_cone_of_another_dimension_reports_space():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -199,8 +200,7 @@ def test_trop_point_errors():
     gl2 = builtin_space("gln", 2)
     with pytest.raises(OffSpaceError):
         trop_point(gl2, CurveBranch.from_matrix([[t, t], [t, t]]))
-    nameless = builtin_space("torus", 2)
-    object.__setattr__(nameless, "family", "mystery")
+    nameless = dataclasses.replace(builtin_space("torus", 2), family="mystery")
     with pytest.raises(ValueError):
         trop_point(nameless, CurveBranch((t, t)))
 

@@ -6,8 +6,8 @@ Usage (from the repository root):
 
 The fan has the 3^n cones spanned by the sets of signed unit vectors with
 at most one sign per coordinate.  Before each timed call every
-``lru_cache`` memo of ``sphertrop.lattice`` and ``sphertrop.luna_vust`` is
-emptied and the fan rebuilt, so ``validate_colored_fan``, ``star`` (on the
+``functools`` memo of every ``sphertrop`` module (catalog spaces and
+document vectors included) is emptied and the fan rebuilt, so ``validate_colored_fan``, ``star`` (on the
 ray e_1) and ``decolor`` each run as in a fresh process; ``star`` and
 ``decolor`` validate the fan first.  ``fan_from_doc`` reads the fan's
 fan/1 text (``load_text``, then ``fan_from_doc``), written before the
